@@ -57,6 +57,7 @@ from .partitions import (
 )
 from .groups import (
     PermGroup,
+    PermSet,
     alternating_group,
     descending_group,
     describe_group,
@@ -72,7 +73,7 @@ from .groups import (
     young_subgroup,
     young_with_reversal,
 )
-from .galois import PermSet, comp_level_sequence, comp_set, gcomp, gpat, pat_set
+from .galois import comp_level_sequence, comp_set, gcomp, gpat, pat_set
 from .classify import (
     ClassKind,
     EventualFamily,

@@ -213,12 +213,8 @@ def _alternating_tail_group(n: int, degree: int) -> PermGroup:
 # ---------------------------------------------------------------------------
 # primitive groups: lookup tables
 
-def _table_degree6() -> tuple[tuple[PermGroup, tuple[Word, ...]], ...]:
-    return _cached_table_degree6()
-
-
 @lru_cache(maxsize=1)
-def _cached_table_degree6() -> tuple[tuple[PermGroup, tuple[Word, ...]], ...]:
+def _table_degree6() -> tuple[tuple[PermGroup, tuple[Word, ...]], ...]:
     from .perms import parse_perm
 
     def grp(*cycles: str) -> PermGroup:
@@ -431,10 +427,7 @@ _VALUE_DISPATCH = {
 # ---------------------------------------------------------------------------
 # eventual families
 
-def predict_eventual(g: PermGroup) -> tuple[EventualFamily, int]:
-    """The family the level sequence settles into, and a bound on the number
-    of levels before it does."""
-    kind = classify_kind(g)
+def _eventual(g: PermGroup, kind: ClassKind) -> tuple[EventualFamily, int]:
     n = g.degree
     has_desc = descending(n).word in g.word_set
 
@@ -474,28 +467,48 @@ def predict_eventual(g: PermGroup) -> tuple[EventualFamily, int]:
     return EventualFamily("sab", has_desc, 1, 1), 2 if table_hit else 1
 
 
+class Classification:
+    """The kind, eventual family and onset bound of one group, computed once
+    and shared by the predictions of all its levels."""
+
+    def __init__(self, g: PermGroup):
+        self.group = g
+        self.kind = classify_kind(g)
+        self.eventual, self.onset_bound = _eventual(g, self.kind)
+
+    def level(self, i: int) -> Prediction:
+        """Predict the compatibility level ``i`` steps above the group."""
+        if i < 1:
+            raise ValueError("level must be >= 1")
+        g = self.group
+        exact, lower, upper, cites = _VALUE_DISPATCH[self.kind](g, i)
+        return Prediction(
+            base_degree=g.degree,
+            level=i,
+            degree=g.degree + i,
+            kind=self.kind,
+            exact=exact,
+            lower=lower,
+            upper=upper,
+            eventual=self.eventual,
+            onset_bound=self.onset_bound,
+            citations=cites,
+        )
+
+
 # ---------------------------------------------------------------------------
 # public prediction entry points
 
+def predict_eventual(g: PermGroup) -> tuple[EventualFamily, int]:
+    """The family the level sequence settles into, and a bound on the number
+    of levels before it does."""
+    c = Classification(g)
+    return c.eventual, c.onset_bound
+
+
 def predict_level(g: PermGroup, i: int) -> Prediction:
     """Predict the compatibility level ``i`` steps above ``g``."""
-    if i < 1:
-        raise ValueError("level must be >= 1")
-    kind = classify_kind(g)
-    exact, lower, upper, cites = _VALUE_DISPATCH[kind](g, i)
-    eventual, bound = predict_eventual(g)
-    return Prediction(
-        base_degree=g.degree,
-        level=i,
-        degree=g.degree + i,
-        kind=kind,
-        exact=exact,
-        lower=lower,
-        upper=upper,
-        eventual=eventual,
-        onset_bound=bound,
-        citations=cites,
-    )
+    return Classification(g).level(i)
 
 
 def predict_next(g: PermGroup) -> Prediction:

@@ -14,9 +14,9 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .classify import Prediction, classify_kind, predict_level
-from .galois import DEFAULT_MAX_ENUM_DEGREE, PermSet, comp_set, pat_set
-from .groups import DEFAULT_ELEMENT_CAP, PermGroup, parse_group
+from .classify import Classification, Prediction, predict_level
+from .galois import DEFAULT_MAX_ENUM_DEGREE, comp_set, iter_levels, pat_set
+from .groups import DEFAULT_ELEMENT_CAP, PermGroup, PermSet, parse_group
 from .perms import CapExceeded, Perm, format_perm, parse_perm
 from .verify import verify_catalog, verify_group, verify_laws
 
@@ -51,7 +51,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "env PERMPAT_MAX_DEGREE applies when the flag is absent)",
     )
     parser.add_argument("--element-cap", type=int, default=DEFAULT_ELEMENT_CAP)
-    parser.add_argument("--threads", default="auto", help="worker count or 'auto'")
+    parser.add_argument(
+        "--threads", type=int, default=1, help="worker processes for verify --catalog"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     pat = sub.add_parser("pat", help="patterns of a group, set, or permutation")
@@ -90,27 +92,21 @@ def _config_from(args: argparse.Namespace) -> CliConfig:
     if max_degree is None:
         env = os.environ.get("PERMPAT_MAX_DEGREE")
         max_degree = int(env) if env else DEFAULT_MAX_ENUM_DEGREE
-    threads = args.threads
-    if threads == "auto":
-        threads = 1
-    else:
-        threads = int(threads)
-        if threads < 1:
-            raise ValueError("--threads must be at least 1")
-    return CliConfig(max_degree, args.element_cap, args.format, threads)
+    if args.threads < 1:
+        raise ValueError("--threads must be at least 1")
+    return CliConfig(max_degree, args.element_cap, args.format, args.threads)
 
 
-def _load_source(args: argparse.Namespace, cfg: CliConfig) -> tuple[PermSet, PermGroup | None]:
+def _load_source(args: argparse.Namespace, cfg: CliConfig) -> PermSet:
     given = [x for x in (args.group, args.perm, args.permset) if x]
     if len(given) != 1:
         raise ValueError("exactly one of --group, --perm, --set is required")
     if args.group:
-        g = parse_group(args.group, cfg.element_cap)
-        return PermSet.from_group(g), g
+        return parse_group(args.group, cfg.element_cap)
     if args.perm:
-        return PermSet.from_perms([parse_perm(args.perm)]), None
+        return PermSet.from_perms([parse_perm(args.perm)])
     words = [parse_perm(t) for t in args.permset.split(";") if t.strip()]
-    return PermSet.from_perms(words), None
+    return PermSet.from_perms(words)
 
 
 def _set_payload(degree: int, words) -> dict:
@@ -138,7 +134,7 @@ def _format_set_text(name: str, payload: dict) -> str:
 
 
 def _cmd_pat(args: argparse.Namespace, cfg: CliConfig) -> int:
-    source, group = _load_source(args, cfg)
+    source = _load_source(args, cfg)
     pats = pat_set(source, args.level)
     generated = PermGroup.closure(
         [Perm(w) for w in pats.words], args.level, cfg.element_cap
@@ -158,8 +154,8 @@ def _cmd_pat(args: argparse.Namespace, cfg: CliConfig) -> int:
 
 
 def _cmd_comp(args: argparse.Namespace, cfg: CliConfig) -> int:
-    source, _ = _load_source(args, cfg)
-    result = comp_set(source, args.target, cfg.max_enum_degree)
+    source = _load_source(args, cfg)
+    result = comp_set(source, args.target, cfg.max_enum_degree, cfg.element_cap)
     try:
         PermGroup.from_words(result.words, result.degree, cfg.element_cap)
         is_group = True
@@ -191,31 +187,27 @@ def _prediction_payload(pred: Prediction) -> dict:
 
 def _cmd_classify(args: argparse.Namespace, cfg: CliConfig) -> int:
     g = parse_group(args.group, cfg.element_cap)
-    kind = classify_kind(g)
+    c = Classification(g)
     levels = []
     citations: list[str] = []
-    eventual = None
-    onset_bound = None
     for i in range(1, args.depth + 1):
-        pred = predict_level(g, i)
+        pred = c.level(i)
         levels.append(_prediction_payload(pred))
-        eventual = pred.eventual
-        onset_bound = pred.onset_bound
-        for c in pred.citations:
-            if c not in citations:
-                citations.append(c)
+        for cite in pred.citations:
+            if cite not in citations:
+                citations.append(cite)
     obj = {
         "command": "classify",
         "group": args.group,
         "degree": g.degree,
         "order": g.order,
-        "kind": kind.value,
+        "kind": c.kind.value,
         "levels": levels,
-        "eventual": eventual.to_json(),
-        "onset_bound": onset_bound,
+        "eventual": c.eventual.to_json(),
+        "onset_bound": c.onset_bound,
         "citations": citations,
     }
-    text = [f"kind: {kind.value} (degree {g.degree}, order {g.order})"]
+    text = [f"kind: {c.kind.value} (degree {g.degree}, order {g.order})"]
     for lv in levels:
         if "exact" in lv:
             text.append(_format_set_text(f"level {lv['degree']}", lv["exact"]))
@@ -228,7 +220,7 @@ def _cmd_classify(args: argparse.Namespace, cfg: CliConfig) -> int:
     desc = "+reversal" if fam["with_descending"] else ""
     text.append(
         f"eventual: {fam['family']}{desc} (a={fam['a']}, b={fam['b']}), "
-        f"onset bound {onset_bound}"
+        f"onset bound {c.onset_bound}"
     )
     text.append("citations: " + ", ".join(citations))
     _emit(cfg, obj, text)
@@ -272,18 +264,10 @@ def _cmd_verify(args: argparse.Namespace, cfg: CliConfig) -> int:
 
 
 def _cmd_levels(args: argparse.Namespace, cfg: CliConfig) -> int:
-    from .galois import _comp_step
-
     g = parse_group(args.group, cfg.element_cap)
-    pred0 = predict_level(g, 1)
-    family = pred0.eventual
+    family = predict_level(g, 1).eventual
     rows = []
-    words = g.word_set
-    for i in range(1, args.depth + 1):
-        degree = g.degree + i
-        if degree > cfg.max_enum_degree:
-            raise CapExceeded(f"degree {degree} exceeds the cap {cfg.max_enum_degree}")
-        words = _comp_step(words, degree - 1)
+    for degree, words in iter_levels(g, args.depth, cfg.max_enum_degree, cfg.element_cap):
         level = PermGroup.from_words(words, degree, cfg.element_cap)
         rows.append(
             {

@@ -14,62 +14,14 @@ sizes, never to (k+1)!.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import AbstractSet, Iterable, Iterator
 
-from .groups import PermGroup
+from .groups import DEFAULT_ELEMENT_CAP, PermGroup, PermSet
 from .perms import CapExceeded, Perm, _delete_word
 
 DEFAULT_MAX_ENUM_DEGREE = 11
 
 Word = tuple[int, ...]
-
-
-class PermSet:
-    """A canonically sorted set of same-degree permutations."""
-
-    __slots__ = ("degree", "words", "word_set")
-
-    def __init__(self, degree: int, words: Iterable[Word]):
-        self.degree = degree
-        self.words = tuple(sorted(set(words)))
-        for w in self.words:
-            if len(w) != degree:
-                raise ValueError(f"member degree {len(w)} != {degree}")
-        self.word_set = frozenset(self.words)
-
-    @classmethod
-    def from_perms(cls, perms: Iterable[Perm]) -> "PermSet":
-        ps = list(perms)
-        if not ps:
-            raise ValueError("cannot infer degree from an empty collection")
-        return cls(ps[0].degree, (p.word for p in ps))
-
-    @classmethod
-    def from_group(cls, g: PermGroup) -> "PermSet":
-        return cls(g.degree, g.words)
-
-    @property
-    def members(self) -> tuple[Perm, ...]:
-        return tuple(Perm(w) for w in self.words)
-
-    def __iter__(self) -> Iterator[Perm]:
-        return iter(self.members)
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, PermSet)
-            and self.degree == other.degree
-            and self.word_set == other.word_set
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.degree, self.words))
-
-    def __repr__(self) -> str:
-        return f"<PermSet degree={self.degree} size={len(self.words)}>"
 
 
 def _pat_words(words: Iterable[Word], length: int) -> set[Word]:
@@ -98,8 +50,14 @@ def pat_set(t: PermSet, length: int) -> PermSet:
     return PermSet(length, _pat_words(t.words, length))
 
 
-def _comp_step(words: frozenset[Word] | set[Word], k: int) -> set[Word]:
-    """One level up: all (k+1)-words whose k single-point deletions lie in ``words``."""
+def _comp_step(
+    words: AbstractSet[Word], k: int, element_cap: int = DEFAULT_ELEMENT_CAP
+) -> set[Word]:
+    """One level up: all (k+1)-words whose k single-point deletions lie in ``words``.
+
+    Raises CapExceeded as soon as the level being built holds more than
+    ``element_cap`` words.
+    """
     out: set[Word] = set()
     delete = _delete_word
     for w in words:
@@ -110,36 +68,60 @@ def _comp_step(words: frozenset[Word] | set[Word], k: int) -> set[Word]:
                     break
             else:
                 out.add(cand)
+        if len(out) > element_cap:
+            raise CapExceeded(
+                f"level degree {k + 1} exceeded the element cap of {element_cap} "
+                f"({len(out)} words reached)"
+            )
     return out
 
 
-def comp_set(s: PermSet, m: int, max_degree: int = DEFAULT_MAX_ENUM_DEGREE) -> PermSet:
+def iter_levels(
+    s: PermSet,
+    depth: int,
+    max_degree: int = DEFAULT_MAX_ENUM_DEGREE,
+    element_cap: int = DEFAULT_ELEMENT_CAP,
+) -> Iterator[tuple[int, set[Word]]]:
+    """Yield ``(degree, words)`` for the ``depth`` levels above ``s``, each
+    built from the one before.
+
+    Refuses before building anything when the top level would pass
+    ``max_degree``; a level holding more than ``element_cap`` words raises
+    while it is built.
+    """
+    top = s.degree + depth
+    if depth > 0 and top > max_degree:
+        raise CapExceeded(f"degree {top} exceeds the enumeration cap of {max_degree}")
+    words: AbstractSet[Word] = s.word_set
+    for k in range(s.degree, top):
+        words = _comp_step(words, k, element_cap)
+        yield k + 1, words
+
+
+def comp_set(
+    s: PermSet,
+    m: int,
+    max_degree: int = DEFAULT_MAX_ENUM_DEGREE,
+    element_cap: int = DEFAULT_ELEMENT_CAP,
+) -> PermSet:
     """All degree-``m`` permutations whose patterns at degree(s) lie in ``s``."""
     if m <= s.degree:
         raise ValueError(f"target degree {m} must exceed {s.degree}")
-    if m > max_degree:
-        raise CapExceeded(
-            f"target degree {m} exceeds the enumeration cap of {max_degree}"
-        )
-    words: set[Word] | frozenset[Word] = s.word_set
-    for k in range(s.degree, m):
-        words = _comp_step(words, k)
+    for _, words in iter_levels(s, m - s.degree, max_degree, element_cap):
+        pass
     return PermSet(m, words)
 
 
 def gpat(g: PermGroup, length: int, element_cap: int | None = None) -> PermGroup:
     """The group generated by the length-``length`` patterns of ``g``."""
-    from .groups import DEFAULT_ELEMENT_CAP
-
     cap = DEFAULT_ELEMENT_CAP if element_cap is None else element_cap
-    pats = pat_set(PermSet.from_group(g), length)
+    pats = pat_set(g, length)
     return PermGroup.closure([Perm(w) for w in pats.words], length, cap)
 
 
 def gcomp(g: PermGroup, m: int, max_degree: int = DEFAULT_MAX_ENUM_DEGREE) -> PermGroup:
     """Compatibility set of a group, verified to be a group itself."""
-    result = comp_set(PermSet.from_group(g), m, max_degree)
-    return PermGroup.from_words(result.words, m)
+    return PermGroup.from_words(comp_set(g, m, max_degree).words, m)
 
 
 def comp_level_sequence(
@@ -148,13 +130,4 @@ def comp_level_sequence(
     """The next ``depth`` levels above ``g``, each one computed from the last."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if g.degree + depth > max_degree:
-        raise CapExceeded(
-            f"degree {g.degree + depth} exceeds the enumeration cap of {max_degree}"
-        )
-    levels = []
-    words: frozenset[Word] | set[Word] = g.word_set
-    for k in range(g.degree, g.degree + depth):
-        words = _comp_step(words, k)
-        levels.append(PermGroup.from_words(words, k + 1))
-    return levels
+    return [PermGroup.from_words(words, k) for k, words in iter_levels(g, depth, max_degree)]

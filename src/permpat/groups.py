@@ -2,13 +2,15 @@
 
 No stabilizer chains: every group constructed here is small enough that the
 explicit sorted element list is the cheapest representation, and exact set
-comparison is the dominant query.  Closures are breadth-first and guarded by
-an element cap; exceeding the cap is a hard error, never silent truncation.
+comparison is the dominant query.  Closures grow one generator at a time by
+coset (Dimino's algorithm) and are guarded by an element cap; exceeding the
+cap is a hard error, never silent truncation.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .partitions import Partition, parse_partition
@@ -32,47 +34,107 @@ def _identity_word(n: int) -> Word:
     return tuple(range(1, n + 1))
 
 
-def _close_words(gens: Sequence[Word], n: int, element_cap: int) -> frozenset[Word]:
-    """Breadth-first closure of <gens> under composition.
+def _extend(elems: set[Word], gens: list[Word], g: Word, element_cap: int) -> None:
+    """Grow the group ``elems`` generated by ``gens`` to <gens, g>, in place.
 
-    Skips generators already produced by the ones before them, so a large,
-    redundant generating set costs little more than a minimal one.
+    Dimino's coset closure (Butler, LNCS 559, 1991): with H the group before
+    the call, the new group is a union of right cosets H r.  A coset is added
+    whole the first time a product of a representative and a generator lands
+    outside the elements so far, so every element is produced once.  Requires
+    ``g`` not in ``elems``; appends it to ``gens``.
     """
-    elems: set[Word] = {_identity_word(n)}
+    gens.append(g)
+    base = list(elems)
+    reps: list[Word] = []
+
+    def add_coset(r: Word) -> None:
+        reps.append(r)
+        elems.update(map(itemgetter(*(x - 1 for x in r)), base))
+        if len(elems) > element_cap:
+            raise CapExceeded(
+                f"closure exceeded the element cap of {element_cap} "
+                f"(degree {len(r)}, {len(elems)} elements reached)"
+            )
+
+    add_coset(g)
+    for r in reps:  # grows while it is scanned
+        for s in gens:
+            prod = _compose_words(r, s)
+            if prod not in elems:
+                add_coset(prod)
+
+
+def _generate(gens: Iterable[Word], n: int, element_cap: int) -> set[Word]:
+    """The elements of <gens>, one generator at a time; redundant ones are skipped."""
+    elems = {_identity_word(n)}
     kept: list[Word] = []
     for g in gens:
-        if g in elems:
-            continue
-        kept.append(g)
-        frontier = [g]
-        elems.add(g)
-        while frontier:
-            if len(elems) > element_cap:
-                raise CapExceeded(
-                    f"closure exceeded the element cap of {element_cap} "
-                    f"(degree {n}, {len(elems)} elements reached)"
-                )
-            nxt = []
-            for w in frontier:
-                for h in kept:
-                    prod = _compose_words(w, h)
-                    if prod not in elems:
-                        elems.add(prod)
-                        nxt.append(prod)
-            frontier = nxt
-    return frozenset(elems)
+        if g not in elems:
+            _extend(elems, kept, g, element_cap)
+    return elems
 
 
-class PermGroup:
-    """Degree, generator list, and the full canonically sorted element set."""
+class PermSet:
+    """A canonically sorted set of same-degree permutations."""
 
-    __slots__ = ("degree", "generator_words", "words", "word_set")
+    __slots__ = ("degree", "words", "word_set")
+
+    def __init__(self, degree: int, words: Iterable[Word]):
+        self._fill(degree, tuple(sorted(set(words))))
+        for w in self.words:
+            if len(w) != degree:
+                raise ValueError(f"member degree {len(w)} != {degree}")
+
+    def _fill(self, degree: int, words: tuple[Word, ...]) -> None:
+        self.degree = degree
+        self.words = words
+        self.word_set = frozenset(words)
+
+    @classmethod
+    def from_perms(cls, perms: Iterable[Perm]) -> "PermSet":
+        ps = list(perms)
+        if not ps:
+            raise ValueError("cannot infer degree from an empty collection")
+        return cls(ps[0].degree, (p.word for p in ps))
+
+    @classmethod
+    def from_group(cls, g: "PermGroup") -> "PermSet":
+        s = cls.__new__(cls)
+        s.degree, s.words, s.word_set = g.degree, g.words, g.word_set
+        return s
+
+    @property
+    def members(self) -> tuple[Perm, ...]:
+        return tuple(Perm(w) for w in self.words)
+
+    def __iter__(self) -> Iterator[Perm]:
+        return iter(self.members)
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, PermSet)
+            and self.degree == other.degree
+            and self.word_set == other.word_set
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.degree, self.words))
+
+    def __repr__(self) -> str:
+        return f"<PermSet degree={self.degree} size={len(self.words)}>"
+
+
+class PermGroup(PermSet):
+    """A permutation set closed under composition, with a generator list."""
+
+    __slots__ = ("generator_words",)
 
     def __init__(self, degree: int, generator_words: Sequence[Word], words: Iterable[Word]):
-        self.degree = degree
+        self._fill(degree, tuple(sorted(words)))
         self.generator_words = tuple(generator_words)
-        self.words = tuple(sorted(words))
-        self.word_set = frozenset(self.words)
 
     # -- construction ------------------------------------------------------
 
@@ -87,7 +149,7 @@ class PermGroup:
             if g.degree != degree:
                 raise ValueError(f"generator degree {g.degree} != {degree}")
         gens = tuple(g.word for g in generators)
-        return cls(degree, gens, _close_words(gens, degree, element_cap))
+        return cls(degree, gens, _generate(gens, degree, element_cap))
 
     @classmethod
     def from_words(
@@ -98,22 +160,23 @@ class PermGroup:
     ) -> "PermGroup":
         """Wrap an element set, verifying it really is a group.
 
-        Generators are recovered greedily; the closure of the recovered
+        Generators are recovered greedily, in sorted order, each one
+        extending the group of those before it; the closure of the recovered
         generators must reproduce the set exactly.
         """
         wset = frozenset(words)
+        ordered = sorted(wset)
         gens: list[Word] = []
-        closed: frozenset[Word] = frozenset({_identity_word(degree)})
-        for w in sorted(wset):
+        closed = {_identity_word(degree)}
+        for w in ordered:
             if w not in closed:
-                gens.append(w)
-                closed = _close_words(gens, degree, element_cap)
+                _extend(closed, gens, w, element_cap)
         if closed != wset:
             raise ValueError(
                 f"element set of size {len(wset)} is not closed "
                 f"(closure has {len(closed)} elements)"
             )
-        return cls(degree, tuple(gens), wset)
+        return cls(degree, gens, ordered)
 
     # -- basic protocol ------------------------------------------------------
 
@@ -125,25 +188,7 @@ class PermGroup:
     def generators(self) -> tuple[Perm, ...]:
         return tuple(Perm(w) for w in self.generator_words)
 
-    @property
-    def elements(self) -> tuple[Perm, ...]:
-        return tuple(Perm(w) for w in self.words)
-
-    def __iter__(self) -> Iterator[Perm]:
-        return iter(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, PermGroup)
-            and self.degree == other.degree
-            and self.word_set == other.word_set
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.degree, self.words))
+    elements = PermSet.members
 
     def __repr__(self) -> str:
         return f"<PermGroup degree={self.degree} order={self.order}>"
@@ -519,7 +564,7 @@ def _prime_power_order_words(n: int) -> list[Word]:
         order = math.lcm(*lens)
         if order <= 1 or not _is_prime_power(order):
             continue
-        cyc = _close_words([w], n, math.factorial(n))
+        cyc = frozenset(_generate([w], n, math.factorial(n)))
         if cyc not in seen_cyclic:
             seen_cyclic.add(cyc)
             out.append(w)
@@ -550,34 +595,6 @@ def _is_prime_power(k: int) -> bool:
     return False
 
 
-def _close_or_identify(
-    gens: Sequence[Word], n: int, full: frozenset[Word], even_half: frozenset[Word]
-) -> frozenset[Word]:
-    """Close a generating set, short-circuiting to A_n or S_n once the size
-    passes every other subgroup's order."""
-    cutoff = _LARGEST_SPORADIC_ORDER[n]
-    elems: set[Word] = {_identity_word(n)}
-    kept: list[Word] = []
-    for g in gens:
-        if g in elems:
-            continue
-        kept.append(g)
-        frontier = [g]
-        elems.add(g)
-        while frontier:
-            if len(elems) > cutoff:
-                return even_half if all(_is_even_word(w) for w in gens) else full
-            nxt = []
-            for w in frontier:
-                for h in kept:
-                    prod = _compose_words(w, h)
-                    if prod not in elems:
-                        elems.add(prod)
-                        nxt.append(prod)
-            frontier = nxt
-    return frozenset(elems)
-
-
 def enumerate_subgroups(n: int) -> list[PermGroup]:
     """Every subgroup of the degree-n symmetric group, degree capped at 6.
 
@@ -591,27 +608,36 @@ def enumerate_subgroups(n: int) -> list[PermGroup]:
         raise ValueError(f"subgroup enumeration is capped at degree {MAX_SUBGROUP_DEGREE}")
     full = frozenset(itertools.permutations(range(1, n + 1)))
     even_half = frozenset(w for w in full if _is_even_word(w))
+    cutoff = _LARGEST_SPORADIC_ORDER[n]
     extenders = _prime_power_order_words(n)
     seen: dict[frozenset[Word], tuple[Word, ...]] = {}
     queue: list[tuple[frozenset[Word], tuple[Word, ...]]] = []
+
+    def grow(elems: frozenset[Word], gens: tuple[Word, ...], g: Word) -> frozenset[Word]:
+        # <gens, g> from elems = <gens>; past the cutoff it is A_n or S_n
+        grown = set(elems)
+        try:
+            _extend(grown, list(gens), g, cutoff)
+        except CapExceeded:
+            return even_half if all(_is_even_word(w) for w in gens + (g,)) else full
+        return frozenset(grown)
 
     def push(elems: frozenset[Word], gens: tuple[Word, ...]) -> None:
         if elems not in seen:
             seen[elems] = gens
             queue.append((elems, gens))
 
-    push(frozenset({_identity_word(n)}), ())
+    trivial = frozenset({_identity_word(n)})
+    push(trivial, ())
     for g in extenders:
-        push(_close_or_identify([g], n, full, even_half), (g,))
+        push(grow(trivial, (), g), (g,))
     while queue:
         elems, gens = queue.pop()
         if len(elems) == len(full) or elems == even_half:
             continue  # nothing above the top groups
         for g in extenders:
-            if g in elems:
-                continue
-            new_gens = gens + (g,)
-            push(_close_or_identify(new_gens, n, full, even_half), new_gens)
+            if g not in elems:
+                push(grow(elems, gens, g), gens + (g,))
     groups = [PermGroup(n, gens, elems) for elems, gens in seen.items()]
     groups.sort(key=lambda h: (h.order, h.words))
     return groups

@@ -12,7 +12,7 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import AbstractSet, Callable, Iterable
 
 from . import perms as perms_mod
 from . import partitions as parts
@@ -22,9 +22,10 @@ from .classify import (
     predict_eventual,
     predict_level,
 )
-from .galois import DEFAULT_MAX_ENUM_DEGREE, PermSet, _comp_step, comp_set, pat_set
+from .galois import DEFAULT_MAX_ENUM_DEGREE, comp_set, iter_levels, pat_set
 from .groups import (
     PermGroup,
+    PermSet,
     describe_group,
     enumerate_subgroups,
     natural_cyclic_group,
@@ -87,22 +88,23 @@ def verify_prediction(
     scope = f"{describe_group(g)} depth={depth}"
 
     def run() -> dict | None:
-        words: frozenset[Word] | set[Word] = g.word_set
-        for i in range(1, depth + 1):
-            k = g.degree + i
-            if k > max_degree:
-                raise CapExceeded(f"level degree {k} exceeds the cap {max_degree}")
-            words = _comp_step(words, k - 1)
-            pred = predict_level(g, i)
-            cx = _compare_level(pred, frozenset(words), i)
+        # levels below the cap are compared before the cap skips the rest
+        reachable = max(0, min(depth, max_degree - g.degree))
+        for k, words in iter_levels(g, reachable, max_degree):
+            i = k - g.degree
+            cx = _compare_level(predict_level(g, i), words, i)
             if cx is not None:
                 return cx
+        if reachable < depth:
+            raise CapExceeded(
+                f"level degree {g.degree + reachable + 1} exceeds the cap {max_degree}"
+            )
         return None
 
     return _run_check("prediction", scope, run)
 
 
-def _compare_level(pred: Prediction, oracle: frozenset[Word], level: int) -> dict | None:
+def _compare_level(pred: Prediction, oracle: AbstractSet[Word], level: int) -> dict | None:
     if pred.exact is not None:
         if pred.exact.word_set != oracle:
             return {
@@ -166,13 +168,9 @@ def eventual_onset(
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    levels: list[PermGroup] = [g]
-    words: frozenset[Word] | set[Word] = g.word_set
-    for i in range(1, max_depth + 1):
-        k = g.degree + i
-        if k > max_degree:
-            break
-        words = _comp_step(words, k - 1)
+    depth = min(max_depth, max_degree - g.degree)
+    levels = [g]
+    for k, words in iter_levels(g, depth, max_degree):
         levels.append(PermGroup.from_words(words, k))
     if len(levels) < 2:
         return [], None
@@ -652,9 +650,8 @@ def _law_galois_transitive(rng: random.Random) -> dict | None:
 def _law_descending_lift(_: random.Random) -> dict | None:
     for g in enumerate_subgroups(5):
         has = descending(5).word in g.word_set
-        s = PermSet.from_group(g)
         for m in (6, 7):
-            if (descending(m).word in comp_set(s, m).word_set) != has:
+            if (descending(m).word in comp_set(g, m).word_set) != has:
                 return {"group": describe_group(g), "m": m}
     return None
 
@@ -663,7 +660,7 @@ def _law_cycle_lift(_: random.Random) -> dict | None:
     c5, d5 = natural_cyclic_group(5), natural_dihedral_group(5)
     c6, d6 = natural_cyclic_group(6), natural_dihedral_group(6)
     for g in enumerate_subgroups(5):
-        comp6 = comp_set(PermSet.from_group(g), 6).word_set
+        comp6 = comp_set(g, 6).word_set
         if (c5.word_set <= g.word_set) != (c6.word_set <= comp6):
             return {"group": describe_group(g), "family": "cyclic"}
         if (d5.word_set <= g.word_set) != (d6.word_set <= comp6):

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from permpat.cli import main
 
 
@@ -64,6 +66,24 @@ def test_comp_cap_error(capsys):
     code, _, err = run_cli(capsys, "comp", "--group", "S:5", "--to", "20")
     assert code == 3
     assert "cap" in err
+
+
+def test_comp_level_size_cap(capsys):
+    # the degree-7 level of S6 has 5040 words, so the step to degree 7 stops
+    code, out, err = run_cli(
+        capsys, "--element-cap", "1000", "comp", "--group", "S:6", "--to", "8"
+    )
+    assert code == 3
+    assert out == ""
+    assert "degree 7" in err and "1000" in err
+
+
+def test_threads_is_a_positive_count(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "auto", "verify", "--laws"])
+    assert exc.value.code == 2
+    code, _, err = run_cli(capsys, "--threads", "0", "verify", "--catalog", "2")
+    assert code == 2 and "--threads" in err
 
 
 def test_classify_dihedral(capsys):

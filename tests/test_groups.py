@@ -2,9 +2,87 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import permpat as pp
 from permpat.groups import PermGroup
+from permpat.perms import Perm, _compose_words
+
+
+def _bfs_closure(gens, n):
+    """Reference closure: breadth-first products of <gens>, no coset structure."""
+    elems = {tuple(range(1, n + 1))}
+    kept = []
+    for g in gens:
+        if g in elems:
+            continue
+        kept.append(g)
+        frontier = [g]
+        elems.add(g)
+        while frontier:
+            nxt = []
+            for w in frontier:
+                for h in kept:
+                    prod = _compose_words(w, h)
+                    if prod not in elems:
+                        elems.add(prod)
+                        nxt.append(prod)
+            frontier = nxt
+    return frozenset(elems)
+
+
+def _bfs_greedy_generators(wset, n):
+    """Reference for from_words: each generator is the least word outside the
+    closure of those before it, closed again from scratch."""
+    gens = []
+    closed = _bfs_closure(gens, n)
+    for w in sorted(wset):
+        if w not in closed:
+            gens.append(w)
+            closed = _bfs_closure(gens, n)
+    return tuple(gens)
+
+
+def _bfs_subgroups(n):
+    """Reference for enumerate_subgroups: the same search order, with every
+    group closed from scratch and no shortcut to A_n or S_n."""
+    def prime_power(k):
+        primes = [p for p in range(2, k + 1) if all(p % q for q in range(2, p))]
+        return len([p for p in primes if k % p == 0]) == 1
+
+    extenders, cyclic = [], set()
+    for w in itertools.permutations(range(1, n + 1)):
+        c = _bfs_closure([w], n)
+        if prime_power(len(c)) and c not in cyclic:
+            cyclic.add(c)
+            extenders.append(w)
+    alternating = pp.alternating_group(n).word_set
+    seen, queue = {}, []
+
+    def push(elems, gens):
+        if elems not in seen:
+            seen[elems] = gens
+            queue.append((elems, gens))
+
+    push(_bfs_closure([], n), ())
+    for g in extenders:
+        push(_bfs_closure([g], n), (g,))
+    while queue:
+        elems, gens = queue.pop()
+        if len(elems) == math.factorial(n) or elems == alternating:
+            continue
+        for g in extenders:
+            if g not in elems:
+                push(_bfs_closure(gens + (g,), n), gens + (g,))
+    return sorted((sorted(elems), gens) for elems, gens in seen.items())
+
+
+@st.composite
+def _generator_sets(draw):
+    n = draw(st.integers(1, 6))
+    word = st.permutations(range(1, n + 1)).map(tuple)
+    return n, draw(st.lists(word, max_size=4))
 
 
 def test_closure_psl25():
@@ -186,3 +264,38 @@ def test_named_group_generators_generate():
         g = pp.parse_group(text)
         regenerated = PermGroup.closure(list(g.generators), g.degree)
         assert regenerated.word_set == g.word_set, text
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_generator_sets())
+def test_closure_and_from_words_match_bfs_reference(case):
+    n, gens = case
+    expected = _bfs_closure(gens, n)
+    g = PermGroup.closure([Perm(w) for w in gens], n)
+    assert g.word_set == expected
+    assert g.generator_words == tuple(gens)
+    h = PermGroup.from_words(expected, n)
+    assert h.word_set == expected
+    assert h.generator_words == _bfs_greedy_generators(expected, n)
+    if len(expected) > 2:
+        # a group minus one non-identity element is never closed
+        with pytest.raises(ValueError):
+            PermGroup.from_words(expected - {max(expected)}, n)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_generator_sets())
+def test_from_words_rejects_sets_the_reference_finds_open(case):
+    n, words = case
+    wset = frozenset(words) | {tuple(range(1, n + 1))}
+    if _bfs_closure(sorted(wset), n) == wset:
+        assert PermGroup.from_words(wset, n).word_set == wset
+    else:
+        with pytest.raises(ValueError):
+            PermGroup.from_words(wset, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_enumerate_subgroups_matches_bfs_reference(n):
+    ours = sorted((list(g.words), g.generator_words) for g in pp.enumerate_subgroups(n))
+    assert ours == _bfs_subgroups(n)

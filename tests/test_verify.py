@@ -1,5 +1,8 @@
+import dataclasses
+
 import permpat as pp
 from permpat import perms as perms_mod
+from permpat import verify as verify_mod
 from permpat.verify import _family_candidates
 
 
@@ -15,6 +18,19 @@ def test_verify_prediction_skips_on_cap():
     report = pp.verify_prediction(pp.symmetric_group(4), 3, max_degree=6)
     assert report.status == "skipped"
     assert report.counterexample is not None
+
+
+def test_verify_prediction_fails_below_cap(monkeypatch):
+    # a wrong level under the cap is reported as a failure, not as a skip
+    real = verify_mod.predict_level
+
+    def wrong(g, i):
+        return dataclasses.replace(real(g, i), exact=pp.trivial_group(g.degree + i))
+
+    monkeypatch.setattr(verify_mod, "predict_level", wrong)
+    report = pp.verify_prediction(pp.symmetric_group(4), 3, max_degree=5)
+    assert report.status == "fail"
+    assert report.counterexample["level"] == 1
 
 
 def test_verify_catalog_small():
