@@ -235,11 +235,11 @@ def _cmd_verify(args: argparse.Namespace, cfg: CliConfig) -> int:
         reports = verify_laws(args.seed)
     elif args.catalog is not None:
         reports = verify_catalog(
-            args.catalog, args.depth, cfg.max_enum_degree, cfg.threads
+            args.catalog, args.depth, cfg.max_enum_degree, cfg.threads, cfg.element_cap
         )
     else:
         g = parse_group(args.group, cfg.element_cap)
-        reports = verify_group(g, args.depth, cfg.max_enum_degree)
+        reports = verify_group(g, args.depth, cfg.max_enum_degree, cfg.element_cap)
     fails = skips = 0
     for r in reports:
         if r.status == "fail":

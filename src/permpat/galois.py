@@ -5,12 +5,20 @@ longer permutations whose patterns stay inside a set.  ``comp_set`` is the
 brute-force oracle the closed-form classifier is verified against.
 
 Levels are computed one degree at a time (the operators compose transitively
-across intermediate degrees).  For a single step from degree k to k+1, a
-candidate is kept iff its k+1 single-point deletions all lie in the previous
-level; candidates are generated by appending a new last point to each member
-of the previous level, which enumerates every permutation whose last-point
-deletion lies there.  Peak work and memory are proportional to the level
-sizes, never to (k+1)!.
+across intermediate degrees).  For a single step from degree k to k+1 the
+candidates are ``lift(w, v) + (v,)`` for w in the level and v in 1..k+1,
+where ``lift`` raises every value >= v by one; these are exactly the
+permutations whose last-point deletion lies in the level.  A candidate is kept
+iff its other k single-point deletions lie there too.  Those deletions are
+not built per candidate: with ``c = w[i]`` and ``v' = v - 1 if c < v else v``,
+
+    delete(lift(w, v) + (v,), i) == lift(delete(w, i), v') + (v',)
+
+so one table, mapping each (k-1)-word u to the bitmask of last values v with
+``lift(u, v) + (v,)`` in the level, answers deletion i for all k+1 values of v
+at once.  Each input word costs k table lookups, and only the survivors are
+built as tuples.  Peak work and memory are proportional to the level sizes,
+never to (k+1)!.
 """
 from __future__ import annotations
 
@@ -53,26 +61,40 @@ def pat_set(t: PermSet, length: int) -> PermSet:
 def _comp_step(
     words: AbstractSet[Word], k: int, element_cap: int = DEFAULT_ELEMENT_CAP
 ) -> set[Word]:
-    """One level up: all (k+1)-words whose k single-point deletions lie in ``words``.
+    """One level up: all (k+1)-words whose single-point deletions all lie in ``words``.
+
+    ``ext[u]`` has bit v set iff ``lift(u, v) + (v,)`` is in ``words``.  For
+    each w, deletion i < k of the candidates above w is one lookup of
+    ``ext[delete(w, i)]``, widened to the k+1 values of v by doubling bit
+    ``w[i]`` (see the module docstring); deletion k is w itself.
 
     Raises CapExceeded as soon as the level being built holds more than
     ``element_cap`` words.
     """
+    ext: dict[Word, int] = {}
+    if k:  # at degree 0 there is no deletion to look up
+        for x in words:
+            u = _delete_word(x, k - 1)
+            ext[u] = ext.get(u, 0) | 1 << x[-1]
+    full = (1 << (k + 2)) - 2
     out: set[Word] = set()
-    delete = _delete_word
     for w in words:
-        for v in range(1, k + 2):
-            cand = tuple(x if x < v else x + 1 for x in w) + (v,)
-            for i in range(k):
-                if delete(cand, i) not in words:
-                    break
-            else:
-                out.add(cand)
-        if len(out) > element_cap:
-            raise CapExceeded(
-                f"level degree {k + 1} exceeded the element cap of {element_cap} "
-                f"({len(out)} words reached)"
-            )
+        mask = full
+        for c in w:
+            # w is a permutation: deleting the position of c drops the value c
+            m = ext.get(tuple([x if x < c else x - 1 for x in w if x != c]), 0)
+            mask &= (m & ((2 << c) - 1)) | (m >> c << (c + 1))
+            if not mask:
+                break
+        else:
+            for v in range(1, k + 2):
+                if mask >> v & 1:
+                    out.add((*[x if x < v else x + 1 for x in w], v))
+            if len(out) > element_cap:
+                raise CapExceeded(
+                    f"level degree {k + 1} exceeded the element cap of {element_cap} "
+                    f"({len(out)} words reached)"
+                )
     return out
 
 

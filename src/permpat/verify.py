@@ -24,6 +24,7 @@ from .classify import (
 )
 from .galois import DEFAULT_MAX_ENUM_DEGREE, comp_set, iter_levels, pat_set
 from .groups import (
+    DEFAULT_ELEMENT_CAP,
     PermGroup,
     PermSet,
     describe_group,
@@ -82,7 +83,10 @@ def _words_payload(words: Iterable[Word], limit: int = 24) -> dict:
 # prediction vs oracle
 
 def verify_prediction(
-    g: PermGroup, depth: int, max_degree: int = DEFAULT_MAX_ENUM_DEGREE
+    g: PermGroup,
+    depth: int,
+    max_degree: int = DEFAULT_MAX_ENUM_DEGREE,
+    element_cap: int = DEFAULT_ELEMENT_CAP,
 ) -> Report:
     """Compare predicted levels 1..depth against the brute-force engine."""
     scope = f"{describe_group(g)} depth={depth}"
@@ -90,7 +94,7 @@ def verify_prediction(
     def run() -> dict | None:
         # levels below the cap are compared before the cap skips the rest
         reachable = max(0, min(depth, max_degree - g.degree))
-        for k, words in iter_levels(g, reachable, max_degree):
+        for k, words in iter_levels(g, reachable, max_degree, element_cap):
             i = k - g.degree
             cx = _compare_level(predict_level(g, i), words, i)
             if cx is not None:
@@ -155,7 +159,10 @@ def _family_candidates(g: PermGroup) -> list[EventualFamily]:
 
 
 def eventual_onset(
-    g: PermGroup, max_depth: int, max_degree: int = DEFAULT_MAX_ENUM_DEGREE
+    g: PermGroup,
+    max_depth: int,
+    max_degree: int = DEFAULT_MAX_ENUM_DEGREE,
+    element_cap: int = DEFAULT_ELEMENT_CAP,
 ) -> tuple[list[EventualFamily], int | None]:
     """Walk the level sequence and find where it enters an eventual family.
 
@@ -170,8 +177,8 @@ def eventual_onset(
         raise ValueError("max_depth must be >= 1")
     depth = min(max_depth, max_degree - g.degree)
     levels = [g]
-    for k, words in iter_levels(g, depth, max_degree):
-        levels.append(PermGroup.from_words(words, k))
+    for k, words in iter_levels(g, depth, max_degree, element_cap):
+        levels.append(PermGroup.from_words(words, k, element_cap))
     if len(levels) < 2:
         return [], None
     for m in range(len(levels) - 1):
@@ -185,7 +192,7 @@ def eventual_onset(
     return [], None
 
 
-def _onset_report(g: PermGroup, max_degree: int) -> Report:
+def _onset_report(g: PermGroup, max_degree: int, element_cap: int) -> Report:
     scope = describe_group(g)
 
     def run() -> dict | None:
@@ -195,7 +202,7 @@ def _onset_report(g: PermGroup, max_degree: int) -> Report:
             raise CapExceeded(
                 f"onset check needs degree {g.degree + depth} > cap {max_degree}"
             )
-        survivors, observed = eventual_onset(g, depth, max_degree)
+        survivors, observed = eventual_onset(g, depth, max_degree, element_cap)
         if observed is None:
             return {
                 "predicted_family": fam.to_json(),
@@ -226,15 +233,21 @@ def _onset_report(g: PermGroup, max_degree: int) -> Report:
 # catalogs
 
 def verify_group(
-    g: PermGroup, depth: int, max_degree: int = DEFAULT_MAX_ENUM_DEGREE
+    g: PermGroup,
+    depth: int,
+    max_degree: int = DEFAULT_MAX_ENUM_DEGREE,
+    element_cap: int = DEFAULT_ELEMENT_CAP,
 ) -> list[Report]:
-    return [verify_prediction(g, depth, max_degree), _onset_report(g, max_degree)]
+    return [
+        verify_prediction(g, depth, max_degree, element_cap),
+        _onset_report(g, max_degree, element_cap),
+    ]
 
 
-def _catalog_worker(args: tuple[str, int, int]) -> list[dict]:
-    descriptor, depth, max_degree = args
-    g = parse_group(descriptor)
-    return [r.to_json() for r in verify_group(g, depth, max_degree)]
+def _catalog_worker(args: tuple[str, int, int, int]) -> list[dict]:
+    descriptor, depth, max_degree, element_cap = args
+    g = parse_group(descriptor, element_cap)
+    return [r.to_json() for r in verify_group(g, depth, max_degree, element_cap)]
 
 
 def verify_catalog(
@@ -242,11 +255,16 @@ def verify_catalog(
     depth: int = 2,
     max_degree: int = DEFAULT_MAX_ENUM_DEGREE,
     threads: int = 1,
+    element_cap: int = DEFAULT_ELEMENT_CAP,
 ) -> list[Report]:
     """Run prediction and onset checks over every subgroup of degree ``n``."""
+    # workers re-parse each group under the cap, so refuse up front in both
+    # modes when the largest subgroup, S_n, passes it
+    if math.factorial(n) > element_cap:
+        raise CapExceeded(f"|S_{n}| = {math.factorial(n)} exceeds the cap {element_cap}")
     groups = enumerate_subgroups(n)
     if threads > 1:
-        jobs = [(describe_group(g), depth, max_degree) for g in groups]
+        jobs = [(describe_group(g), depth, max_degree, element_cap) for g in groups]
         with ProcessPoolExecutor(max_workers=threads) as pool:
             chunks = list(pool.map(_catalog_worker, jobs))
         reports = [
@@ -261,7 +279,9 @@ def verify_catalog(
             for d in chunk
         ]
     else:
-        reports = [r for g in groups for r in verify_group(g, depth, max_degree)]
+        reports = [
+            r for g in groups for r in verify_group(g, depth, max_degree, element_cap)
+        ]
     reports.sort(key=lambda r: (r.check_id, r.scope))
     return reports
 

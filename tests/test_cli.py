@@ -78,6 +78,30 @@ def test_comp_level_size_cap(capsys):
     assert "degree 7" in err and "1000" in err
 
 
+def test_verify_level_size_cap(capsys):
+    # the S7 level above S6 has 5040 words: the prediction check is skipped, not passed
+    code, out, err = run_cli(
+        capsys, "--element-cap", "1000", "--format", "json",
+        "verify", "--group", "S:6", "--depth", "1",
+    )
+    assert code == 0
+    reports = {r["check_id"]: r for r in map(json.loads, out.splitlines())}
+    prediction = reports["prediction"]
+    assert prediction["status"] == "skipped"
+    reason = prediction["counterexample"]["reason"]
+    assert "degree 7" in reason and "element cap of 1000" in reason
+    assert "skipped" in err
+
+
+def test_verify_catalog_refuses_a_catalog_over_the_cap(capsys):
+    for threads in ("1", "2"):
+        code, out, err = run_cli(
+            capsys, "--element-cap", "100", "--threads", threads, "verify", "--catalog", "5"
+        )
+        assert code == 3 and out == ""
+        assert "|S_5| = 120" in err
+
+
 def test_threads_is_a_positive_count(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--threads", "auto", "verify", "--laws"])

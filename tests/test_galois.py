@@ -1,9 +1,13 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import permpat as pp
 from permpat import Perm, PermSet
+from permpat.galois import _comp_step
+from permpat.perms import _delete_word
 
 
 def words(*texts):
@@ -102,3 +106,69 @@ def test_galois_adjunction_on_groups():
     comp = pp.comp_set(s, 6)
     assert pp.pat_set(comp, 5).word_set <= s.word_set
     assert s.word_set <= pp.comp_set(pp.pat_set(s, 4), 5).word_set
+
+
+# ---------------------------------------------------------------------------
+# the level step against the plain candidate-by-candidate reference
+
+def _comp_step_reference(words, k):
+    """Every lift(w, v) + (v,) whose first k single-point deletions lie in ``words``."""
+    out = set()
+    for w in words:
+        for v in range(1, k + 2):
+            cand = tuple(x if x < v else x + 1 for x in w) + (v,)
+            for i in range(k):
+                if _delete_word(cand, i) not in words:
+                    break
+            else:
+                out.add(cand)
+    return out
+
+
+@st.composite
+def _word_sets(draw):
+    # sparse sets and near-full ones (all words but a few), so that both empty
+    # and large levels come out above them; two levels above a near-full
+    # degree-6 set hold tens of thousands of words, too slow for the reference
+    k = draw(st.integers(1, 6))
+    all_words = list(itertools.permutations(range(1, k + 1)))
+    picked = draw(st.sets(st.sampled_from(all_words), max_size=12))
+    if k <= 5 and draw(st.booleans()):
+        return k, set(all_words) - picked
+    return k, picked
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_word_sets())
+def test_comp_step_matches_reference_one_and_two_steps_up(case):
+    k, words = case
+    one = _comp_step_reference(words, k)
+    assert _comp_step(words, k) == one
+    assert _comp_step(one, k + 1) == _comp_step_reference(one, k + 1)
+
+
+def test_comp_step_edge_sets():
+    assert _comp_step(set(), 3) == set()
+    assert _comp_step({()}, 0) == {(1,)} == _comp_step_reference({()}, 0)
+    assert _comp_step({(1,)}, 1) == {(1, 2), (2, 1)}
+    assert _comp_step({(1, 2)}, 2) == {(1, 2, 3)}
+    assert _comp_step({(2, 1)}, 2) == {(3, 2, 1)}
+
+
+@pytest.mark.parametrize("family", ["S", "A", "C"])
+def test_comp_step_matches_reference_on_group_levels(family):
+    # every level above S_n, A_n and C_n up to degree 8
+    starts = [1] if family == "S" else range(1, 8)
+    for n in starts:
+        words = set(pp.parse_group(f"{family}:{n}").word_set)
+        for k in range(n, 8):
+            step = _comp_step(words, k)
+            assert step == _comp_step_reference(words, k), (family, n, k)
+            words = step
+
+
+def test_comp_step_cap_names_the_level_being_built():
+    s5 = set(pp.symmetric_group(5).word_set)
+    with pytest.raises(pp.CapExceeded, match="level degree 6 exceeded the element cap of 100"):
+        _comp_step(s5, 5, element_cap=100)
+    assert len(_comp_step(s5, 5, element_cap=720)) == 720
