@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass
 
 from .classify import Classification, Prediction, predict_level
-from .galois import DEFAULT_MAX_ENUM_DEGREE, comp_set, iter_levels, pat_set
+from .galois import comp_set, iter_levels, pat_set
 from .groups import DEFAULT_ELEMENT_CAP, PermGroup, PermSet, parse_group
 from .perms import CapExceeded, Perm, format_perm, parse_perm
 from .verify import verify_catalog, verify_group, verify_laws
@@ -28,14 +26,6 @@ EXIT_PARSE = 2
 EXIT_CAP = 3
 
 
-@dataclass
-class CliConfig:
-    max_enum_degree: int = DEFAULT_MAX_ENUM_DEGREE
-    element_cap: int = DEFAULT_ELEMENT_CAP
-    fmt: str = "text"
-    threads: int = 1
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permpat",
@@ -43,13 +33,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "level classifier, and brute-force verifier for permutation groups",
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument(
-        "--max-degree",
-        type=int,
-        default=None,
-        help=f"enumeration degree cap (default {DEFAULT_MAX_ENUM_DEGREE}; "
-        "env PERMPAT_MAX_DEGREE applies when the flag is absent)",
-    )
     parser.add_argument("--element-cap", type=int, default=DEFAULT_ELEMENT_CAP)
     parser.add_argument(
         "--threads", type=int, default=1, help="worker processes for verify --catalog"
@@ -87,22 +70,12 @@ def _add_source_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--set", dest="permset", default=None, help="semicolon-separated words")
 
 
-def _config_from(args: argparse.Namespace) -> CliConfig:
-    max_degree = args.max_degree
-    if max_degree is None:
-        env = os.environ.get("PERMPAT_MAX_DEGREE")
-        max_degree = int(env) if env else DEFAULT_MAX_ENUM_DEGREE
-    if args.threads < 1:
-        raise ValueError("--threads must be at least 1")
-    return CliConfig(max_degree, args.element_cap, args.format, args.threads)
-
-
-def _load_source(args: argparse.Namespace, cfg: CliConfig) -> PermSet:
+def _load_source(args: argparse.Namespace) -> PermSet:
     given = [x for x in (args.group, args.perm, args.permset) if x]
     if len(given) != 1:
         raise ValueError("exactly one of --group, --perm, --set is required")
     if args.group:
-        return parse_group(args.group, cfg.element_cap)
+        return parse_group(args.group, args.element_cap)
     if args.perm:
         return PermSet.from_perms([parse_perm(args.perm)])
     words = [parse_perm(t) for t in args.permset.split(";") if t.strip()]
@@ -117,8 +90,8 @@ def _set_payload(degree: int, words) -> dict:
     return payload
 
 
-def _emit(cfg: CliConfig, obj: dict, text_lines: list[str]) -> None:
-    if cfg.fmt == "json":
+def _emit(args: argparse.Namespace, obj: dict, text_lines: list[str]) -> None:
+    if args.format == "json":
         print(json.dumps(obj, separators=(",", ":")))
     else:
         for line in text_lines:
@@ -133,11 +106,11 @@ def _format_set_text(name: str, payload: dict) -> str:
     return f"{name}: degree {payload['degree']}, size {payload['size']}"
 
 
-def _cmd_pat(args: argparse.Namespace, cfg: CliConfig) -> int:
-    source = _load_source(args, cfg)
+def _cmd_pat(args: argparse.Namespace) -> int:
+    source = _load_source(args)
     pats = pat_set(source, args.level)
     generated = PermGroup.closure(
-        [Perm(w) for w in pats.words], args.level, cfg.element_cap
+        [Perm(w) for w in pats.words], args.level, args.element_cap
     )
     obj = {
         "command": "pat",
@@ -146,18 +119,18 @@ def _cmd_pat(args: argparse.Namespace, cfg: CliConfig) -> int:
         "pat": _set_payload(pats.degree, pats.words),
         "generated": _set_payload(generated.degree, generated.words),
     }
-    _emit(cfg, obj, [
+    _emit(args, obj, [
         _format_set_text("pat", obj["pat"]),
         _format_set_text("generated", obj["generated"]),
     ])
     return EXIT_OK
 
 
-def _cmd_comp(args: argparse.Namespace, cfg: CliConfig) -> int:
-    source = _load_source(args, cfg)
-    result = comp_set(source, args.target, cfg.max_enum_degree, cfg.element_cap)
+def _cmd_comp(args: argparse.Namespace) -> int:
+    source = _load_source(args)
+    result = comp_set(source, args.target, element_cap=args.element_cap)
     try:
-        PermGroup.from_words(result.words, result.degree, cfg.element_cap)
+        PermGroup.from_words(result.words, result.degree, args.element_cap)
         is_group = True
     except ValueError:
         is_group = False
@@ -168,7 +141,7 @@ def _cmd_comp(args: argparse.Namespace, cfg: CliConfig) -> int:
         "comp": _set_payload(result.degree, result.words),
         "is_group": is_group,
     }
-    _emit(cfg, obj, [
+    _emit(args, obj, [
         _format_set_text("comp", obj["comp"]),
         f"group: {'yes' if is_group else 'no'}",
     ])
@@ -185,8 +158,8 @@ def _prediction_payload(pred: Prediction) -> dict:
     return level
 
 
-def _cmd_classify(args: argparse.Namespace, cfg: CliConfig) -> int:
-    g = parse_group(args.group, cfg.element_cap)
+def _cmd_classify(args: argparse.Namespace) -> int:
+    g = parse_group(args.group, args.element_cap)
     c = Classification(g)
     levels = []
     citations: list[str] = []
@@ -223,11 +196,11 @@ def _cmd_classify(args: argparse.Namespace, cfg: CliConfig) -> int:
         f"onset bound {c.onset_bound}"
     )
     text.append("citations: " + ", ".join(citations))
-    _emit(cfg, obj, text)
+    _emit(args, obj, text)
     return EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace, cfg: CliConfig) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     chosen = [x for x in (args.catalog is not None, args.group is not None, args.laws) if x]
     if len(chosen) != 1:
         raise ValueError("choose exactly one of --catalog N, --group DESC, --laws")
@@ -235,18 +208,18 @@ def _cmd_verify(args: argparse.Namespace, cfg: CliConfig) -> int:
         reports = verify_laws(args.seed)
     elif args.catalog is not None:
         reports = verify_catalog(
-            args.catalog, args.depth, cfg.max_enum_degree, cfg.threads, cfg.element_cap
+            args.catalog, args.depth, threads=args.threads, element_cap=args.element_cap
         )
     else:
-        g = parse_group(args.group, cfg.element_cap)
-        reports = verify_group(g, args.depth, cfg.max_enum_degree, cfg.element_cap)
+        g = parse_group(args.group, args.element_cap)
+        reports = verify_group(g, args.depth, element_cap=args.element_cap)
     fails = skips = 0
     for r in reports:
         if r.status == "fail":
             fails += 1
         elif r.status == "skipped":
             skips += 1
-        if cfg.fmt == "json":
+        if args.format == "json":
             print(json.dumps(r.to_json(), separators=(",", ":")))
         else:
             print(f"{r.status.upper():7s} {r.check_id} [{r.scope}]")
@@ -263,12 +236,12 @@ def _cmd_verify(args: argparse.Namespace, cfg: CliConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_levels(args: argparse.Namespace, cfg: CliConfig) -> int:
-    g = parse_group(args.group, cfg.element_cap)
+def _cmd_levels(args: argparse.Namespace) -> int:
+    g = parse_group(args.group, args.element_cap)
     family = predict_level(g, 1).eventual
     rows = []
-    for degree, words in iter_levels(g, args.depth, cfg.max_enum_degree, cfg.element_cap):
-        level = PermGroup.from_words(words, degree, cfg.element_cap)
+    for degree, words in iter_levels(g, args.depth, element_cap=args.element_cap):
+        level = PermGroup.from_words(words, degree, args.element_cap)
         rows.append(
             {
                 "degree": degree,
@@ -287,7 +260,7 @@ def _cmd_levels(args: argparse.Namespace, cfg: CliConfig) -> int:
         + (" [eventual family]" if r["family_match"] else "")
         for r in rows
     ]
-    _emit(cfg, obj, text)
+    _emit(args, obj, text)
     return EXIT_OK
 
 
@@ -304,8 +277,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from(args)
-        return _COMMANDS[args.command](args, cfg)
+        if args.threads < 1:
+            raise ValueError("--threads must be at least 1")
+        return _COMMANDS[args.command](args)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

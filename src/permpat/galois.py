@@ -25,9 +25,7 @@ from __future__ import annotations
 from typing import AbstractSet, Iterable, Iterator
 
 from .groups import DEFAULT_ELEMENT_CAP, PermGroup, PermSet
-from .perms import CapExceeded, Perm, _delete_word
-
-DEFAULT_MAX_ENUM_DEGREE = 11
+from .perms import MAX_DEGREE, CapExceeded, Perm, _delete_word
 
 Word = tuple[int, ...]
 
@@ -99,37 +97,29 @@ def _comp_step(
 
 
 def iter_levels(
-    s: PermSet,
-    depth: int,
-    max_degree: int = DEFAULT_MAX_ENUM_DEGREE,
-    element_cap: int = DEFAULT_ELEMENT_CAP,
+    s: PermSet, depth: int, *, element_cap: int = DEFAULT_ELEMENT_CAP
 ) -> Iterator[tuple[int, set[Word]]]:
     """Yield ``(degree, words)`` for the ``depth`` levels above ``s``, each
     built from the one before.
 
-    Refuses before building anything when the top level would pass
-    ``max_degree``; a level holding more than ``element_cap`` words raises
-    while it is built.
+    Refuses before building anything when the top level would pass the
+    permutation degree limit ``MAX_DEGREE``; a level holding more than
+    ``element_cap`` words raises while it is built.
     """
     top = s.degree + depth
-    if depth > 0 and top > max_degree:
-        raise CapExceeded(f"degree {top} exceeds the enumeration cap of {max_degree}")
+    if depth > 0 and top > MAX_DEGREE:
+        raise CapExceeded(f"degree {top} exceeds the enumeration cap of {MAX_DEGREE}")
     words: AbstractSet[Word] = s.word_set
     for k in range(s.degree, top):
         words = _comp_step(words, k, element_cap)
         yield k + 1, words
 
 
-def comp_set(
-    s: PermSet,
-    m: int,
-    max_degree: int = DEFAULT_MAX_ENUM_DEGREE,
-    element_cap: int = DEFAULT_ELEMENT_CAP,
-) -> PermSet:
+def comp_set(s: PermSet, m: int, *, element_cap: int = DEFAULT_ELEMENT_CAP) -> PermSet:
     """All degree-``m`` permutations whose patterns at degree(s) lie in ``s``."""
     if m <= s.degree:
         raise ValueError(f"target degree {m} must exceed {s.degree}")
-    for _, words in iter_levels(s, m - s.degree, max_degree, element_cap):
+    for _, words in iter_levels(s, m - s.degree, element_cap=element_cap):
         pass
     return PermSet(m, words)
 
@@ -141,15 +131,13 @@ def gpat(g: PermGroup, length: int, element_cap: int | None = None) -> PermGroup
     return PermGroup.closure([Perm(w) for w in pats.words], length, cap)
 
 
-def gcomp(g: PermGroup, m: int, max_degree: int = DEFAULT_MAX_ENUM_DEGREE) -> PermGroup:
+def gcomp(g: PermGroup, m: int) -> PermGroup:
     """Compatibility set of a group, verified to be a group itself."""
-    return PermGroup.from_words(comp_set(g, m, max_degree).words, m)
+    return PermGroup.from_words(comp_set(g, m).words, m)
 
 
-def comp_level_sequence(
-    g: PermGroup, depth: int, max_degree: int = DEFAULT_MAX_ENUM_DEGREE
-) -> list[PermGroup]:
+def comp_level_sequence(g: PermGroup, depth: int) -> list[PermGroup]:
     """The next ``depth`` levels above ``g``, each one computed from the last."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    return [PermGroup.from_words(words, k) for k, words in iter_levels(g, depth, max_degree)]
+    return [PermGroup.from_words(words, k) for k, words in iter_levels(g, depth)]

@@ -13,10 +13,11 @@ import math
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .partitions import Partition, parse_partition
+from .partitions import Partition, parse_partition, refines
 from .perms import (
     CapExceeded,
     Perm,
+    _check_degree,
     _compose_words,
     _is_even_word,
     _jumps_word,
@@ -274,7 +275,7 @@ class PermGroup(PermSet):
         minimal = [
             p
             for p in candidates
-            if not any(q != p and _refines(q, p) for q in candidates)
+            if not any(q != p and refines(q, p) for q in candidates)
         ]
         return sorted(minimal, key=lambda p: p.blocks)
 
@@ -324,15 +325,11 @@ class PermGroup(PermSet):
         return tuple(JumpPair(a, b) for a, b in sorted(pairs))
 
 
-def _refines(p: Partition, q: Partition) -> bool:
-    qi = q.block_index
-    return all(len({qi[x] for x in b}) == 1 for b in p.blocks)
-
-
 # ---------------------------------------------------------------------------
 # named constructions
 
 def trivial_group(n: int) -> PermGroup:
+    _check_degree(n)
     return PermGroup(n, (), {_identity_word(n)})
 
 
@@ -351,6 +348,7 @@ def symmetric_group(n: int, element_cap: int = DEFAULT_ELEMENT_CAP) -> PermGroup
 
 
 def alternating_group(n: int, element_cap: int = DEFAULT_ELEMENT_CAP) -> PermGroup:
+    _check_degree(n)
     if n >= 2 and math.factorial(n) // 2 > element_cap:
         raise CapExceeded(f"|A_{n}| exceeds the cap {element_cap}")
     words = [w for w in itertools.permutations(range(1, n + 1)) if _is_even_word(w)]

@@ -12,6 +12,7 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import AbstractSet, Callable, Iterable
 
 from . import perms as perms_mod
@@ -22,7 +23,7 @@ from .classify import (
     predict_eventual,
     predict_level,
 )
-from .galois import DEFAULT_MAX_ENUM_DEGREE, comp_set, iter_levels, pat_set
+from .galois import comp_set, iter_levels, pat_set
 from .groups import (
     DEFAULT_ELEMENT_CAP,
     PermGroup,
@@ -36,7 +37,7 @@ from .groups import (
     symmetric_group,
     young_subgroup,
 )
-from .perms import CapExceeded, Perm, ascending, descending, natural_cycle
+from .perms import MAX_DEGREE, CapExceeded, Perm, ascending, descending, natural_cycle
 
 Word = tuple[int, ...]
 
@@ -83,25 +84,22 @@ def _words_payload(words: Iterable[Word], limit: int = 24) -> dict:
 # prediction vs oracle
 
 def verify_prediction(
-    g: PermGroup,
-    depth: int,
-    max_degree: int = DEFAULT_MAX_ENUM_DEGREE,
-    element_cap: int = DEFAULT_ELEMENT_CAP,
+    g: PermGroup, depth: int, *, element_cap: int = DEFAULT_ELEMENT_CAP
 ) -> Report:
     """Compare predicted levels 1..depth against the brute-force engine."""
     scope = f"{describe_group(g)} depth={depth}"
 
     def run() -> dict | None:
-        # levels below the cap are compared before the cap skips the rest
-        reachable = max(0, min(depth, max_degree - g.degree))
-        for k, words in iter_levels(g, reachable, max_degree, element_cap):
+        # levels up to the degree limit are compared before the limit skips the rest
+        reachable = max(0, min(depth, MAX_DEGREE - g.degree))
+        for k, words in iter_levels(g, reachable, element_cap=element_cap):
             i = k - g.degree
             cx = _compare_level(predict_level(g, i), words, i)
             if cx is not None:
                 return cx
         if reachable < depth:
             raise CapExceeded(
-                f"level degree {g.degree + reachable + 1} exceeds the cap {max_degree}"
+                f"level degree {g.degree + reachable + 1} exceeds the cap {MAX_DEGREE}"
             )
         return None
 
@@ -159,10 +157,7 @@ def _family_candidates(g: PermGroup) -> list[EventualFamily]:
 
 
 def eventual_onset(
-    g: PermGroup,
-    max_depth: int,
-    max_degree: int = DEFAULT_MAX_ENUM_DEGREE,
-    element_cap: int = DEFAULT_ELEMENT_CAP,
+    g: PermGroup, max_depth: int, *, element_cap: int = DEFAULT_ELEMENT_CAP
 ) -> tuple[list[EventualFamily], int | None]:
     """Walk the level sequence and find where it enters an eventual family.
 
@@ -170,17 +165,15 @@ def eventual_onset(
     only if they match at the observed level and at every further computed
     level, and at least one further level was computed (a single coincidental
     match never declares onset).  Returns ([], None) when nothing is found
-    within ``max_depth`` levels; the degree cap truncates the walk silently,
-    while a level outgrowing the element cap raises.
+    within ``max_depth`` levels.  Raises CapExceeded, naming the degree,
+    before building anything when ``g.degree + max_depth`` passes
+    ``MAX_DEGREE``, and while a level outgrows the element cap.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    depth = min(max_depth, max_degree - g.degree)
     levels = [g]
-    for k, words in iter_levels(g, depth, max_degree, element_cap):
+    for k, words in iter_levels(g, max_depth, element_cap=element_cap):
         levels.append(PermGroup.from_words(words, k, element_cap))
-    if len(levels) < 2:
-        return [], None
     for m in range(len(levels) - 1):
         survivors = [
             fam
@@ -192,17 +185,12 @@ def eventual_onset(
     return [], None
 
 
-def _onset_report(g: PermGroup, max_degree: int, element_cap: int) -> Report:
+def _onset_report(g: PermGroup, *, element_cap: int) -> Report:
     scope = describe_group(g)
 
     def run() -> dict | None:
         fam, bound = predict_eventual(g)
-        depth = bound + 1
-        if g.degree + depth > max_degree:
-            raise CapExceeded(
-                f"onset check needs degree {g.degree + depth} > cap {max_degree}"
-            )
-        survivors, observed = eventual_onset(g, depth, max_degree, element_cap)
+        survivors, observed = eventual_onset(g, bound + 1, element_cap=element_cap)
         if observed is None:
             return {
                 "predicted_family": fam.to_json(),
@@ -233,55 +221,30 @@ def _onset_report(g: PermGroup, max_degree: int, element_cap: int) -> Report:
 # catalogs
 
 def verify_group(
-    g: PermGroup,
-    depth: int,
-    max_degree: int = DEFAULT_MAX_ENUM_DEGREE,
-    element_cap: int = DEFAULT_ELEMENT_CAP,
+    g: PermGroup, depth: int, *, element_cap: int = DEFAULT_ELEMENT_CAP
 ) -> list[Report]:
     return [
-        verify_prediction(g, depth, max_degree, element_cap),
-        _onset_report(g, max_degree, element_cap),
+        verify_prediction(g, depth, element_cap=element_cap),
+        _onset_report(g, element_cap=element_cap),
     ]
 
 
-def _catalog_worker(args: tuple[str, int, int, int]) -> list[dict]:
-    descriptor, depth, max_degree, element_cap = args
-    g = parse_group(descriptor, element_cap)
-    return [r.to_json() for r in verify_group(g, depth, max_degree, element_cap)]
-
-
 def verify_catalog(
-    n: int,
-    depth: int = 2,
-    max_degree: int = DEFAULT_MAX_ENUM_DEGREE,
-    threads: int = 1,
-    element_cap: int = DEFAULT_ELEMENT_CAP,
+    n: int, depth: int = 2, *, threads: int = 1, element_cap: int = DEFAULT_ELEMENT_CAP
 ) -> list[Report]:
     """Run prediction and onset checks over every subgroup of degree ``n``."""
-    # workers re-parse each group under the cap, so refuse up front in both
-    # modes when the largest subgroup, S_n, passes it
+    # enumerate_subgroups builds S_n whatever the cap, so refuse up front
+    # when the largest subgroup passes it
     if math.factorial(n) > element_cap:
         raise CapExceeded(f"|S_{n}| = {math.factorial(n)} exceeds the cap {element_cap}")
+    check = partial(verify_group, depth=depth, element_cap=element_cap)
     groups = enumerate_subgroups(n)
     if threads > 1:
-        jobs = [(describe_group(g), depth, max_degree, element_cap) for g in groups]
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(_catalog_worker, jobs))
-        reports = [
-            Report(
-                d["check_id"],
-                d["scope"],
-                d["status"],
-                d.get("counterexample"),
-                d["elapsed_ms"],
-            )
-            for chunk in chunks
-            for d in chunk
-        ]
+            chunks = list(pool.map(check, groups))
     else:
-        reports = [
-            r for g in groups for r in verify_group(g, depth, max_degree, element_cap)
-        ]
+        chunks = map(check, groups)
+    reports = [r for chunk in chunks for r in chunk]
     reports.sort(key=lambda r: (r.check_id, r.scope))
     return reports
 

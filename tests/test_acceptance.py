@@ -183,7 +183,7 @@ def test_criterion_7_catalog_degree6():
     reports = pp.verify_catalog(6, depth=1)
     groups = {r.scope for r in reports if r.check_id == "prediction"}
     assert len(groups) == 1455
-    bad = [r for r in reports if r.status == "fail"]
+    bad = [r for r in reports if r.status != "pass"]
     assert not bad, bad[:3]
     assert time.time() - t0 < 3600.0
     _announce(7, "subgroup catalog sweep (degree 6)", t0)

@@ -240,17 +240,16 @@ def test_parse_error_exit_code(capsys):
     assert "error" in err
 
 
-def test_env_max_degree(capsys, monkeypatch):
-    monkeypatch.setenv("PERMPAT_MAX_DEGREE", "6")
-    code, _, err = run_cli(capsys, "comp", "--group", "S:5", "--to", "7")
-    assert code == 3
-    # the explicit flag wins over the environment
-    code, out, _ = run_cli(
-        capsys, "--format", "json", "--max-degree", "7",
-        "comp", "--group", "S:5", "--to", "7",
-    )
-    assert code == 0
-    assert json.loads(out)["comp"]["size"] == 5040
+def test_degree_zero_descriptors_are_parse_errors(capsys):
+    for argv in (
+        ("comp", "--group", "A:0", "--to", "2"),
+        ("levels", "--group", "A:0", "--depth", "1"),
+        ("classify", "--group", "T:0"),
+        ("levels", "--group", "T:0", "--depth", "1"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "degree must be in 1..16" in err, argv
 
 
 def test_module_entry_point():

@@ -96,8 +96,19 @@ def test_comp_level_sequence():
     levels = pp.comp_level_sequence(pp.symmetric_group(4), 2)
     assert levels == [pp.symmetric_group(5), pp.symmetric_group(6)]
 
-    with pytest.raises(pp.CapExceeded):
-        pp.comp_level_sequence(pp.natural_cyclic_group(5), 10)
+    with pytest.raises(pp.CapExceeded, match="degree 17"):
+        pp.comp_level_sequence(pp.natural_cyclic_group(5), 12)
+
+
+def test_element_cap_is_keyword_only():
+    # a positional third argument must not be taken as the element cap
+    c5 = pp.natural_cyclic_group(5)
+    with pytest.raises(TypeError):
+        pp.comp_set(c5, 9, 11)
+    with pytest.raises(TypeError):
+        pp.verify_group(c5, 1, 11)
+    with pytest.raises(TypeError):
+        pp.verify_catalog(3, 1, 11)
 
 
 def test_galois_adjunction_on_groups():

@@ -1,5 +1,7 @@
 import dataclasses
 
+import pytest
+
 import permpat as pp
 from permpat import perms as perms_mod
 from permpat import verify as verify_mod
@@ -15,9 +17,10 @@ def test_verify_prediction_passes():
 
 
 def test_verify_prediction_skips_on_cap():
-    report = pp.verify_prediction(pp.symmetric_group(4), 3, max_degree=6)
+    # S5 (120 words) is compared, S6 (720) passes the cap
+    report = pp.verify_prediction(pp.symmetric_group(4), 3, element_cap=200)
     assert report.status == "skipped"
-    assert report.counterexample is not None
+    assert "degree 6" in report.counterexample["reason"]
 
 
 def test_verify_prediction_fails_below_cap(monkeypatch):
@@ -28,7 +31,7 @@ def test_verify_prediction_fails_below_cap(monkeypatch):
         return dataclasses.replace(real(g, i), exact=pp.trivial_group(g.degree + i))
 
     monkeypatch.setattr(verify_mod, "predict_level", wrong)
-    report = pp.verify_prediction(pp.symmetric_group(4), 3, max_degree=5)
+    report = pp.verify_prediction(pp.symmetric_group(4), 3, element_cap=200)
     assert report.status == "fail"
     assert report.counterexample["level"] == 1
 
@@ -115,6 +118,20 @@ def test_eventual_onset_not_found():
     assert m is None and fams == []
 
 
+def test_eventual_onset_reports_the_degree_limit():
+    with pytest.raises(pp.CapExceeded, match="degree 17"):
+        pp.eventual_onset(pp.natural_cyclic_group(5), 12)
+
+
+def test_verify_group_onset_past_degree_11():
+    # the onset walk above this degree-6 group reaches degree 12
+    reports = pp.verify_group(pp.parse_group("gens:6:(1 2 3 4 5)"), 1)
+    assert [(r.check_id, r.status) for r in reports] == [
+        ("prediction", "pass"),
+        ("onset", "pass"),
+    ]
+
+
 def test_family_candidates_disambiguation():
     # degree 3 full symmetric group also looks dihedral; both must be offered
     cands = _family_candidates(pp.symmetric_group(3))
@@ -142,7 +159,7 @@ def test_random_groups_beyond_catalog_degrees():
             if g.order > 5000:
                 continue
             done += 1
-            for r in pp.verify_group(g, depth=2, max_degree=11):
+            for r in pp.verify_group(g, depth=2):
                 assert r.status != "fail", (r.scope, r.counterexample)
 
 
