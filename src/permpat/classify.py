@@ -29,7 +29,7 @@ from .groups import (
     young_subgroup,
     young_with_reversal,
 )
-from .perms import Perm, _compose_words, _is_even_word, ajd, descending, dja, natural_cycle
+from .perms import _compose_words, _is_even_word, ajd, descending, dja, natural_cycle
 
 Word = tuple[int, ...]
 
@@ -140,7 +140,7 @@ def classify_kind(g: PermGroup) -> ClassKind:
         raise ValueError("classification needs degree >= 2")
     if g.order == math.factorial(n):
         return ClassKind.SYMMETRIC
-    if g.order == math.factorial(n) // 2 and all(_is_even_word(w) for w in g.words):
+    if g.order == math.factorial(n) // 2 and all(_is_even_word(w) for w in g.word_set):
         return ClassKind.ALTERNATING
     if g.order == 1:
         return ClassKind.TRIVIAL
@@ -218,7 +218,7 @@ def _table_degree6() -> tuple[tuple[PermGroup, tuple[Word, ...]], ...]:
     from .perms import parse_perm
 
     def grp(*cycles: str) -> PermGroup:
-        return PermGroup.closure([parse_perm(c, 6) for c in cycles], 6)
+        return PermGroup.closure([parse_perm(c, 6).word for c in cycles], 6)
 
     def words(*texts: str) -> tuple[Word, ...]:
         return tuple(parse_perm(t).word for t in texts)
@@ -235,16 +235,16 @@ def _table_degree6() -> tuple[tuple[PermGroup, tuple[Word, ...]], ...]:
     )
 
 
-def _interval_dihedral_rows(n: int) -> list[tuple[PermGroup, Perm]]:
+def _interval_dihedral_rows(n: int) -> list[tuple[PermGroup, Word]]:
     """Interval-dihedral subgroups whose presence pins the next level exactly,
     paired with the single generator of that next level."""
     rows = []
     if n >= 3:
-        rows.append((dihedral_interval_group(n, 1, n - 1), dja(n + 1, n - 1)))
-        rows.append((dihedral_interval_group(n, 2, n), ajd(n + 1, n - 1)))
+        rows.append((dihedral_interval_group(n, 1, n - 1), dja(n + 1, n - 1).word))
+        rows.append((dihedral_interval_group(n, 2, n), ajd(n + 1, n - 1).word))
     if n >= 4:
-        rows.append((dihedral_interval_group(n, 1, n - 2), dja(n + 1, n - 2)))
-        rows.append((dihedral_interval_group(n, 3, n), ajd(n + 1, n - 2)))
+        rows.append((dihedral_interval_group(n, 1, n - 2), dja(n + 1, n - 2).word))
+        rows.append((dihedral_interval_group(n, 3, n), ajd(n + 1, n - 2).word))
     return rows
 
 
@@ -263,10 +263,10 @@ def _autpi_level(pi: parts.Partition, i: int) -> PermGroup:
     symmetric_under_reversal = parts.reverse_partition(pi) == pi
     if i == 1:
         base = young_subgroup(parts.derive(pi))
-        gens = [Perm(w) for w in base.generator_words]
-        gens += list(parts.interwoven_generators(pi))
+        gens = list(base.generator_words)
+        gens += [p.word for p in parts.interwoven_generators(pi)]
         if symmetric_under_reversal:
-            gens.append(descending(n + 1))
+            gens.append(descending(n + 1).word)
         return PermGroup.closure(gens, n + 1)
     if len(pi.blocks) > 1 and parts.interwoven(pi, 1, n):
         return natural_dihedral_group(n + i)

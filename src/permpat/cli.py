@@ -109,15 +109,13 @@ def _format_set_text(name: str, payload: dict) -> str:
 def _cmd_pat(args: argparse.Namespace) -> int:
     source = _load_source(args)
     pats = pat_set(source, args.level)
-    generated = PermGroup.closure(
-        [Perm(w) for w in pats.words], args.level, args.element_cap
-    )
+    generated = PermGroup.closure(sorted(pats.word_set), args.level, args.element_cap)
     obj = {
         "command": "pat",
         "level": args.level,
-        "source": _set_payload(source.degree, source.words),
-        "pat": _set_payload(pats.degree, pats.words),
-        "generated": _set_payload(generated.degree, generated.words),
+        "source": _set_payload(source.degree, source.word_set),
+        "pat": _set_payload(pats.degree, pats.word_set),
+        "generated": _set_payload(generated.degree, generated.word_set),
     }
     _emit(args, obj, [
         _format_set_text("pat", obj["pat"]),
@@ -130,15 +128,15 @@ def _cmd_comp(args: argparse.Namespace) -> int:
     source = _load_source(args)
     result = comp_set(source, args.target, element_cap=args.element_cap)
     try:
-        PermGroup.from_words(result.words, result.degree, args.element_cap)
+        PermGroup.from_words(result.word_set, result.degree, args.element_cap)
         is_group = True
     except ValueError:
         is_group = False
     obj = {
         "command": "comp",
         "target": args.target,
-        "source": _set_payload(source.degree, source.words),
-        "comp": _set_payload(result.degree, result.words),
+        "source": _set_payload(source.degree, source.word_set),
+        "comp": _set_payload(result.degree, result.word_set),
         "is_group": is_group,
     }
     _emit(args, obj, [
@@ -151,10 +149,10 @@ def _cmd_comp(args: argparse.Namespace) -> int:
 def _prediction_payload(pred: Prediction) -> dict:
     level: dict = {"degree": pred.degree}
     if pred.exact is not None:
-        level["exact"] = _set_payload(pred.exact.degree, pred.exact.words)
+        level["exact"] = _set_payload(pred.exact.degree, pred.exact.word_set)
     else:
-        level["lower"] = _set_payload(pred.lower.degree, pred.lower.words)
-        level["upper"] = _set_payload(pred.upper.degree, pred.upper.words)
+        level["lower"] = _set_payload(pred.lower.degree, pred.lower.word_set)
+        level["upper"] = _set_payload(pred.upper.degree, pred.upper.word_set)
     return level
 
 

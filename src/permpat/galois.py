@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import AbstractSet, Iterable, Iterator
 
 from .groups import DEFAULT_ELEMENT_CAP, PermGroup, PermSet
-from .perms import MAX_DEGREE, CapExceeded, Perm, _delete_word
+from .perms import MAX_DEGREE, CapExceeded, _delete_word
 
 Word = tuple[int, ...]
 
@@ -53,7 +53,7 @@ def pat_set(t: PermSet, length: int) -> PermSet:
         raise ValueError(f"pattern length {length} out of range 1..{t.degree}")
     if length == t.degree:
         return t
-    return PermSet(length, _pat_words(t.words, length))
+    return PermSet(length, _pat_words(t.word_set, length))
 
 
 def _comp_step(
@@ -128,12 +128,12 @@ def gpat(g: PermGroup, length: int, element_cap: int | None = None) -> PermGroup
     """The group generated by the length-``length`` patterns of ``g``."""
     cap = DEFAULT_ELEMENT_CAP if element_cap is None else element_cap
     pats = pat_set(g, length)
-    return PermGroup.closure([Perm(w) for w in pats.words], length, cap)
+    return PermGroup.closure(sorted(pats.word_set), length, cap)
 
 
 def gcomp(g: PermGroup, m: int) -> PermGroup:
     """Compatibility set of a group, verified to be a group itself."""
-    return PermGroup.from_words(comp_set(g, m).words, m)
+    return PermGroup.from_words(comp_set(g, m).word_set, m)
 
 
 def comp_level_sequence(g: PermGroup, depth: int) -> list[PermGroup]:

@@ -1,10 +1,12 @@
 """Finite permutation groups as fully enumerated element sets.
 
 No stabilizer chains: every group constructed here is small enough that the
-explicit sorted element list is the cheapest representation, and exact set
-comparison is the dominant query.  Closures grow one generator at a time by
-coset (Dimino's algorithm) and are guarded by an element cap; exceeding the
-cap is a hard error, never silent truncation.
+explicit element set is the cheapest representation, and exact set
+comparison is the dominant query.  A set or group holds its words in one
+frozenset; order is imposed only where it is part of the output or of a
+deterministic choice.  Closures grow one generator at a time by coset
+(Dimino's algorithm) and are guarded by an element cap; exceeding the cap is
+a hard error, never silent truncation.
 """
 from __future__ import annotations
 
@@ -76,20 +78,20 @@ def _generate(gens: Iterable[Word], n: int, element_cap: int) -> set[Word]:
 
 
 class PermSet:
-    """A canonically sorted set of same-degree permutations."""
+    """A set of same-degree permutations, held as one frozenset of words.
 
-    __slots__ = ("degree", "words", "word_set")
+    The set has no stored order: ``members`` and iteration sort on the way
+    out, so callers that print or choose deterministically see sorted words.
+    """
+
+    __slots__ = ("degree", "word_set")
 
     def __init__(self, degree: int, words: Iterable[Word]):
-        self._fill(degree, tuple(sorted(set(words))))
-        for w in self.words:
+        self.degree = degree
+        self.word_set = frozenset(words)
+        for w in self.word_set:
             if len(w) != degree:
                 raise ValueError(f"member degree {len(w)} != {degree}")
-
-    def _fill(self, degree: int, words: tuple[Word, ...]) -> None:
-        self.degree = degree
-        self.words = words
-        self.word_set = frozenset(words)
 
     @classmethod
     def from_perms(cls, perms: Iterable[Perm]) -> "PermSet":
@@ -98,21 +100,15 @@ class PermSet:
             raise ValueError("cannot infer degree from an empty collection")
         return cls(ps[0].degree, (p.word for p in ps))
 
-    @classmethod
-    def from_group(cls, g: "PermGroup") -> "PermSet":
-        s = cls.__new__(cls)
-        s.degree, s.words, s.word_set = g.degree, g.words, g.word_set
-        return s
-
     @property
     def members(self) -> tuple[Perm, ...]:
-        return tuple(Perm(w) for w in self.words)
+        return tuple(Perm(w) for w in sorted(self.word_set))
 
     def __iter__(self) -> Iterator[Perm]:
         return iter(self.members)
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.word_set)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -122,10 +118,10 @@ class PermSet:
         )
 
     def __hash__(self) -> int:
-        return hash((self.degree, self.words))
+        return hash((self.degree, self.word_set))
 
     def __repr__(self) -> str:
-        return f"<PermSet degree={self.degree} size={len(self.words)}>"
+        return f"<PermSet degree={self.degree} size={len(self.word_set)}>"
 
 
 class PermGroup(PermSet):
@@ -134,7 +130,8 @@ class PermGroup(PermSet):
     __slots__ = ("generator_words",)
 
     def __init__(self, degree: int, generator_words: Sequence[Word], words: Iterable[Word]):
-        self._fill(degree, tuple(sorted(words)))
+        self.degree = degree
+        self.word_set = frozenset(words)
         self.generator_words = tuple(generator_words)
 
     # -- construction ------------------------------------------------------
@@ -142,15 +139,14 @@ class PermGroup(PermSet):
     @classmethod
     def closure(
         cls,
-        generators: Sequence[Perm],
+        generators: Sequence[Word],
         degree: int,
         element_cap: int = DEFAULT_ELEMENT_CAP,
     ) -> "PermGroup":
         for g in generators:
-            if g.degree != degree:
-                raise ValueError(f"generator degree {g.degree} != {degree}")
-        gens = tuple(g.word for g in generators)
-        return cls(degree, gens, _generate(gens, degree, element_cap))
+            if len(g) != degree:
+                raise ValueError(f"generator degree {len(g)} != {degree}")
+        return cls(degree, generators, _generate(generators, degree, element_cap))
 
     @classmethod
     def from_words(
@@ -166,10 +162,9 @@ class PermGroup(PermSet):
         generators must reproduce the set exactly.
         """
         wset = frozenset(words)
-        ordered = sorted(wset)
         gens: list[Word] = []
         closed = {_identity_word(degree)}
-        for w in ordered:
+        for w in sorted(wset):
             if w not in closed:
                 _extend(closed, gens, w, element_cap)
         if closed != wset:
@@ -177,19 +172,13 @@ class PermGroup(PermSet):
                 f"element set of size {len(wset)} is not closed "
                 f"(closure has {len(closed)} elements)"
             )
-        return cls(degree, gens, ordered)
+        return cls(degree, gens, wset)
 
     # -- basic protocol ------------------------------------------------------
 
     @property
     def order(self) -> int:
-        return len(self.words)
-
-    @property
-    def generators(self) -> tuple[Perm, ...]:
-        return tuple(Perm(w) for w in self.generator_words)
-
-    elements = PermSet.members
+        return len(self.word_set)
 
     def __repr__(self) -> str:
         return f"<PermGroup degree={self.degree} order={self.order}>"
@@ -320,7 +309,7 @@ class PermGroup(PermSet):
     def jump_set(self) -> tuple[JumpPair, ...]:
         """Union of the jump pairs over all elements."""
         pairs = set()
-        for w in self.words:
+        for w in self.word_set:
             pairs.update(_jumps_word(w))
         return tuple(JumpPair(a, b) for a, b in sorted(pairs))
 
@@ -334,6 +323,7 @@ def trivial_group(n: int) -> PermGroup:
 
 
 def symmetric_group(n: int, element_cap: int = DEFAULT_ELEMENT_CAP) -> PermGroup:
+    _check_degree(n)
     if math.factorial(n) > element_cap:
         raise CapExceeded(f"|S_{n}| = {math.factorial(n)} exceeds the cap {element_cap}")
     words = itertools.permutations(range(1, n + 1))
@@ -382,18 +372,19 @@ def natural_cyclic_group(n: int) -> PermGroup:
 
 def natural_dihedral_group(n: int) -> PermGroup:
     z, d = natural_cycle(n).word, descending(n).word
-    return PermGroup.closure([Perm(z), Perm(d)], n)
+    return PermGroup.closure([z, d], n)
 
 
 def dihedral_interval_group(n: int, a: int, b: int) -> PermGroup:
     """All permutations acting as the natural dihedral group on [a,b] and
     fixing everything else pointwise."""
+    _check_degree(n)
     if not 1 <= a < b <= n:
         raise ValueError(f"need 1 <= a < b <= n, got a={a}, b={b}, n={n}")
     k = b - a + 1
     inner = natural_dihedral_group(k)
     words = []
-    for w in inner.words:
+    for w in inner.word_set:
         full = list(range(1, n + 1))
         for i, v in enumerate(w):
             full[a - 1 + i] = v + a - 1
@@ -403,6 +394,7 @@ def dihedral_interval_group(n: int, a: int, b: int) -> PermGroup:
 
 def young_subgroup(p: Partition, element_cap: int = DEFAULT_ELEMENT_CAP) -> PermGroup:
     """All permutations mapping every block of ``p`` onto itself."""
+    _check_degree(p.size)
     order = math.prod(math.factorial(len(b)) for b in p.blocks)
     if order > element_cap:
         raise CapExceeded(f"Young subgroup order {order} exceeds the cap {element_cap}")
@@ -427,9 +419,7 @@ def young_with_reversal(p: Partition, element_cap: int = DEFAULT_ELEMENT_CAP) ->
     """The group generated by the Young subgroup of ``p`` and the reversal."""
     base = young_subgroup(p, element_cap)
     d = descending(p.size).word
-    return PermGroup.closure(
-        [Perm(w) for w in base.generator_words] + [Perm(d)], p.size, element_cap
-    )
+    return PermGroup.closure(base.generator_words + (d,), p.size, element_cap)
 
 
 def sab_group(n: int, a: int, b: int, element_cap: int = DEFAULT_ELEMENT_CAP) -> PermGroup:
@@ -441,6 +431,7 @@ def sab_group(n: int, a: int, b: int, element_cap: int = DEFAULT_ELEMENT_CAP) ->
 
 def partition_automorphisms(p: Partition, element_cap: int = DEFAULT_ELEMENT_CAP) -> PermGroup:
     """All permutations mapping blocks of ``p`` onto blocks of ``p``."""
+    _check_degree(p.size)
     by_size: dict[int, list[tuple[int, ...]]] = {}
     for b in p.blocks:
         by_size.setdefault(len(b), []).append(b)
@@ -519,7 +510,7 @@ def parse_group(text: str, element_cap: int = DEFAULT_ELEMENT_CAP) -> PermGroup:
             n = int(deg_text)
             from .perms import parse_perm
 
-            gens = [parse_perm(t, n) for t in gtext.split(";") if t.strip()]
+            gens = [parse_perm(t, n).word for t in gtext.split(";") if t.strip()]
             return PermGroup.closure(gens, n, element_cap)
     except CapExceeded:
         raise
@@ -558,30 +549,13 @@ def _prime_power_order_words(n: int) -> list[Word]:
     out = []
     seen_cyclic: set[frozenset[Word]] = set()
     for w in sorted(itertools.permutations(range(1, n + 1))):
-        lens = _cycle_lengths(w)
-        order = math.lcm(*lens)
-        if order <= 1 or not _is_prime_power(order):
-            continue
         cyc = frozenset(_generate([w], n, math.factorial(n)))
+        if not _is_prime_power(len(cyc)):  # the order of w; 1 is no prime power
+            continue
         if cyc not in seen_cyclic:
             seen_cyclic.add(cyc)
             out.append(w)
     return out
-
-
-def _cycle_lengths(w: Word) -> list[int]:
-    seen = [False] * len(w)
-    lens = []
-    for i in range(len(w)):
-        if not seen[i]:
-            length = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = w[j] - 1
-                length += 1
-            lens.append(length)
-    return lens
 
 
 def _is_prime_power(k: int) -> bool:
@@ -637,5 +611,5 @@ def enumerate_subgroups(n: int) -> list[PermGroup]:
             if g not in elems:
                 push(grow(elems, gens, g), gens + (g,))
     groups = [PermGroup(n, gens, elems) for elems, gens in seen.items()]
-    groups.sort(key=lambda h: (h.order, h.words))
+    groups.sort(key=lambda h: (h.order, sorted(h.word_set)))
     return groups

@@ -409,7 +409,7 @@ def _law_cycle_prefix_generation(_: random.Random) -> dict | None:
             prefix = perms_mod.parse_perm(
                 "(" + " ".join(str(x) for x in range(1, m + 1)) + ")", n
             )
-            g = PermGroup.closure([natural_cycle(n), prefix], n)
+            g = PermGroup.closure([natural_cycle(n).word, prefix.word], n)
             both_odd = (m % 2 == 1) and (n % 2 == 1)
             expected = math.factorial(n) // 2 if both_odd else math.factorial(n)
             if g.order != expected:
@@ -436,8 +436,7 @@ def _law_young_join(_: random.Random) -> dict | None:
             yp = young_subgroup(p)
             for q in all_parts:
                 yq = young_subgroup(q)
-                gens = [Perm(w) for w in yp.generator_words + yq.generator_words]
-                joined = PermGroup.closure(gens, n)
+                joined = PermGroup.closure(yp.generator_words + yq.generator_words, n)
                 if joined != young_subgroup(parts.join(p, q)):
                     return {"p": str(p), "q": str(q)}
     return None
@@ -488,7 +487,7 @@ def _law_block_system_soundness(_: random.Random) -> dict | None:
             sizes = {len(b) for b in pi.blocks}
             if len(sizes) != 1:
                 return {"group": describe_group(g), "system": str(pi)}
-            for w in g.words:
+            for w in sorted(g.word_set):
                 mapped = parts.Partition.from_blocks(
                     [sorted(w[x - 1] for x in b) for b in pi.blocks]
                 )
@@ -502,7 +501,7 @@ def _law_block_system_soundness(_: random.Random) -> dict | None:
                     [sorted(w[x - 1] for x in b) for b in p.blocks]
                 )
                 == p
-                for w in g.words
+                for w in g.word_set
             )
             for p in _all_partitions(n)
         )
@@ -662,7 +661,7 @@ def _law_comp_direct_agreement(rng: random.Random) -> dict | None:
             if all(p.word in s.word_set for p in perms_mod.all_patterns(Perm(w), l))
         }
         if comp_set(s, m).word_set != direct:
-            return {"l": l, "m": m, "set": [str(Perm(w)) for w in s.words]}
+            return {"l": l, "m": m, "set": [str(Perm(w)) for w in sorted(s.word_set)]}
     return None
 
 

@@ -14,7 +14,7 @@ from permpat import partitions as parts
 from permpat.classify import _alternating_next_group, _alternating_tail_group
 from permpat.galois import PermSet, _comp_step
 from permpat.groups import PermGroup
-from permpat.perms import Perm, descending
+from permpat.perms import descending
 from permpat.verify import _all_partitions
 
 LONG = os.environ.get("PERMPAT_LONG_TESTS") == "1"
@@ -42,7 +42,7 @@ def test_criterion_1_degree6_primitive_table():
     ]
     for descriptor, expected in rows:
         g = pp.parse_group(descriptor)
-        got = pp.comp_set(PermSet.from_group(g), 7).word_set
+        got = pp.comp_set(g, 7).word_set
         assert got == expected, descriptor
     assert time.time() - t0 < 5.0
     _announce(1, "degree-6 primitive table exactness", t0)
@@ -51,7 +51,7 @@ def test_criterion_1_degree6_primitive_table():
 def test_criterion_2_alternating_next_level():
     t0 = time.time()
     for n in range(3, 9):
-        oracle = pp.comp_set(PermSet.from_group(pp.alternating_group(n)), n + 1)
+        oracle = pp.comp_set(pp.alternating_group(n), n + 1)
         assert oracle.word_set == _alternating_next_group(n).word_set, n
     assert time.time() - t0 < 60.0
     _announce(2, "alternating next level", t0)
@@ -127,10 +127,10 @@ def test_criterion_5_onset_exactness():
 def _expected_autpi_level1(pi):
     n = pi.size
     base = pp.young_subgroup(parts.derive(pi))
-    gens = [Perm(w) for w in base.generator_words]
-    gens += list(parts.interwoven_generators(pi))
+    gens = list(base.generator_words)
+    gens += [p.word for p in parts.interwoven_generators(pi)]
     if parts.reverse_partition(pi) == pi:
-        gens.append(descending(n + 1))
+        gens.append(descending(n + 1).word)
     return PermGroup.closure(gens, n + 1)
 
 

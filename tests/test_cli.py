@@ -252,6 +252,28 @@ def test_degree_zero_descriptors_are_parse_errors(capsys):
         assert "degree must be in 1..16" in err, argv
 
 
+def _points(lo, hi):
+    return ",".join(str(x) for x in range(lo, hi + 1))
+
+
+@pytest.mark.parametrize(
+    "descriptor",
+    [
+        "S:17",
+        "Dint:17:1:4",
+        "Sab:17:1:1",
+        "SPi:" + _points(1, 17),
+        "SPi:1,2|" + "|".join(str(x) for x in range(3, 18)),
+        "SPiDesc:1,2|" + "|".join(str(x) for x in range(3, 18)),
+        "AutPi:" + "|".join(_points(x, x + 1) for x in range(1, 14, 2)) + "|15,16,17",
+    ],
+)
+def test_degree_past_the_limit_is_a_parse_error(capsys, descriptor):
+    code, out, err = run_cli(capsys, "classify", "--group", descriptor)
+    assert code == 2 and out == ""
+    assert "bad group descriptor" in err and "degree must be in 1..16" in err
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "permpat.cli", "--format", "json",

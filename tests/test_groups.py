@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import permpat as pp
-from permpat.groups import PermGroup
-from permpat.perms import Perm, _compose_words
+from permpat.groups import PermGroup, PermSet
+from permpat.perms import _compose_words
 
 
 def _bfs_closure(gens, n):
@@ -93,15 +93,35 @@ def test_closure_psl25():
 
 def test_closure_trivial_and_cyclic():
     assert PermGroup.closure([], 4, 100).order == 1
-    g = PermGroup.closure([pp.natural_cycle(4)], 4)
+    g = PermGroup.closure([pp.natural_cycle(4).word], 4)
     assert sorted(str(p) for p in g) == ["1234", "2341", "3412", "4123"]
+
+
+def test_closure_rejects_a_generator_of_the_wrong_degree():
+    with pytest.raises(ValueError, match="generator degree 4 != 5"):
+        PermGroup.closure([(2, 3, 4, 1)], 5)
+
+
+def test_permset_and_group_with_the_same_words_are_equal():
+    g = pp.natural_cyclic_group(5)
+    s = PermSet(5, g.word_set)
+    assert s == g and g == s
+    assert hash(s) == hash(g)
+    assert len({s, g}) == 1
+    assert PermSet(5, g.word_set - {pp.natural_cycle(5).word}) != g
+
+
+def test_group_iterates_in_sorted_order():
+    g = pp.natural_dihedral_group(5)
+    assert [p.word for p in g] == sorted(g.word_set)
+    assert list(g.members) == list(g)
 
 
 def test_closure_cap():
     with pytest.raises(pp.CapExceeded):
         pp.symmetric_group(10)
     with pytest.raises(pp.CapExceeded):
-        PermGroup.closure([pp.natural_cycle(9)], 9, element_cap=5)
+        PermGroup.closure([pp.natural_cycle(9).word], 9, element_cap=5)
 
 
 def test_from_words_rejects_non_groups():
@@ -135,17 +155,17 @@ def test_young_subgroups():
 def test_dihedral_interval():
     g = pp.dihedral_interval_group(6, 2, 5)
     assert g.order == 8
-    for w in g.words:
+    for w in g.word_set:
         assert w[0] == 1 and w[5] == 6
     inner = pp.natural_dihedral_group(4)
-    assert {tuple(v - 1 for v in w[1:5]) for w in g.words} == set(inner.words)
+    assert {tuple(v - 1 for v in w[1:5]) for w in g.word_set} == inner.word_set
 
 
 def test_membership_and_inclusion():
     a4 = pp.alternating_group(4)
     assert not a4.contains(pp.parse_perm("2341"))
     assert pp.natural_cyclic_group(5).is_subgroup_of(pp.natural_dihedral_group(5))
-    d3 = PermGroup.closure([pp.natural_cycle(3), pp.descending(3)], 3)
+    d3 = PermGroup.closure([pp.natural_cycle(3).word, pp.descending(3).word], 3)
     assert d3 == pp.symmetric_group(3)
     with pytest.raises(ValueError):
         a4.contains(pp.parse_perm("21"))
@@ -228,7 +248,9 @@ def test_enumerate_subgroups_lagrange_and_determinism():
     for g in subs:
         assert math.factorial(4) % g.order == 0
     again = pp.enumerate_subgroups(4)
-    assert [g.words for g in subs] == [h.words for h in again]
+    assert [(g.word_set, g.generator_words) for g in subs] == [
+        (h.word_set, h.generator_words) for h in again
+    ]
 
 
 def test_parse_group_grammar():
@@ -262,7 +284,7 @@ def test_named_group_generators_generate():
     for text in ("S:1", "S:2", "S:5", "A:2", "A:3", "A:5", "A:6", "C:6", "D:6",
                   "T:4", "Desc:4", "Sab:6:2:2", "SPi:1,2|3,4,5", "AutPi:1,2|3,4"):
         g = pp.parse_group(text)
-        regenerated = PermGroup.closure(list(g.generators), g.degree)
+        regenerated = PermGroup.closure(g.generator_words, g.degree)
         assert regenerated.word_set == g.word_set, text
 
 
@@ -271,7 +293,7 @@ def test_named_group_generators_generate():
 def test_closure_and_from_words_match_bfs_reference(case):
     n, gens = case
     expected = _bfs_closure(gens, n)
-    g = PermGroup.closure([Perm(w) for w in gens], n)
+    g = PermGroup.closure(gens, n)
     assert g.word_set == expected
     assert g.generator_words == tuple(gens)
     h = PermGroup.from_words(expected, n)
@@ -297,5 +319,55 @@ def test_from_words_rejects_sets_the_reference_finds_open(case):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_enumerate_subgroups_matches_bfs_reference(n):
-    ours = sorted((list(g.words), g.generator_words) for g in pp.enumerate_subgroups(n))
+    ours = sorted((sorted(g.word_set), g.generator_words) for g in pp.enumerate_subgroups(n))
     assert ours == _bfs_subgroups(n)
+
+
+def _sympy_group(g):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    gens = g.generator_words or (tuple(range(1, g.degree + 1)),)
+    return combinatorics.PermutationGroup(
+        [combinatorics.Permutation([v - 1 for v in w]) for w in gens]
+    )
+
+
+def _sympy_block_systems(sg):
+    systems = []
+    for reps in sg.minimal_blocks():
+        blocks = {}
+        for x, r in enumerate(reps, start=1):
+            blocks.setdefault(r, []).append(x)
+        if len(blocks) > 1:  # a primitive group comes back as one block
+            systems.append(pp.Partition.from_blocks(blocks.values()))
+    return sorted(systems, key=lambda p: p.blocks)
+
+
+def _assert_structure_matches_sympy(g):
+    sg = _sympy_group(g)
+    assert sg.order() == g.order, g.generator_words
+    orbits = pp.Partition.from_blocks([sorted(x + 1 for x in o) for o in sg.orbits()])
+    assert orbits == g.orbits(), g.generator_words
+    if g.is_transitive():
+        assert _sympy_block_systems(sg) == g.block_systems(), g.generator_words
+        assert sg.is_primitive() == g.is_primitive(), g.generator_words
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_group_structure_matches_sympy(n):
+    # an independent oracle for order, orbits, minimal block systems and primitivity
+    subgroups = pp.enumerate_subgroups(n)
+    for g in subgroups:
+        _assert_structure_matches_sympy(g)
+    transitive = sum(g.is_transitive() for g in subgroups)
+    assert transitive == {3: 2, 4: 9, 5: 20}[n]
+
+
+@pytest.mark.parametrize(
+    "descriptor",
+    ["C:8", "D:8", "AutPi:1,2|3,4|5,6|7,8", "AutPi:1,3,5|2,4,6", "D:6",
+     "gens:6:(1 2 3 4 5);(1 3 4)(2 5 6)"],
+)
+def test_named_group_structure_matches_sympy(descriptor):
+    # nested block systems need block sizes 1 < a | b < n with b | n, so the
+    # minimality of block_systems() shows first at degree 8
+    _assert_structure_matches_sympy(pp.parse_group(descriptor))

@@ -149,7 +149,7 @@ def test_random_groups_beyond_catalog_degrees():
 
     def random_cycle_perm(degree):
         pts = rng.sample(range(1, degree + 1), rng.randint(2, 4))
-        return pp.parse_perm("(" + " ".join(map(str, pts)) + ")", degree)
+        return pp.parse_perm("(" + " ".join(map(str, pts)) + ")", degree).word
 
     for degree, goal in ((7, 12), (8, 6)):
         done = 0
