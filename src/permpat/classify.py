@@ -17,6 +17,7 @@ from functools import lru_cache
 
 from . import partitions as parts
 from .groups import (
+    DEFAULT_ELEMENT_CAP,
     PermGroup,
     descending_group,
     dihedral_interval_group,
@@ -125,10 +126,6 @@ class Prediction:
     onset_bound: int
     citations: tuple[str, ...]
 
-    @property
-    def is_exact(self) -> bool:
-        return self.exact is not None
-
 
 # ---------------------------------------------------------------------------
 # classification
@@ -158,7 +155,7 @@ def classify_kind(g: PermGroup) -> ClassKind:
 # ---------------------------------------------------------------------------
 # alternating groups
 
-def _alternating_next_group(n: int) -> PermGroup:
+def _alternating_next_group(n: int, element_cap: int = DEFAULT_ELEMENT_CAP) -> PermGroup:
     """The level right above the degree-n alternating group.
 
     Its members alternate between odd and even values along the word: either
@@ -188,7 +185,7 @@ def _alternating_next_group(n: int) -> PermGroup:
                 w = interleave(pe, po)
                 if not _is_even_word(w):
                     words.append(w)
-    return PermGroup.from_words(words, m)
+    return PermGroup.from_words(words, m, element_cap)
 
 
 def _alternating_tail_group(n: int, degree: int) -> PermGroup:
@@ -251,29 +248,32 @@ def _interval_dihedral_rows(n: int) -> list[tuple[PermGroup, Word]]:
 # ---------------------------------------------------------------------------
 # per-class level values
 
-def _young_level(pi: parts.Partition, i: int, with_reversal: bool) -> PermGroup:
+def _young_level(
+    pi: parts.Partition, i: int, with_reversal: bool, element_cap: int
+) -> PermGroup:
     pi_i = parts.derive_iter(pi, i)
-    return young_with_reversal(pi_i) if with_reversal else young_subgroup(pi_i)
+    build = young_with_reversal if with_reversal else young_subgroup
+    return build(pi_i, element_cap)
 
 
-def _autpi_level(pi: parts.Partition, i: int) -> PermGroup:
+def _autpi_level(pi: parts.Partition, i: int, element_cap: int) -> PermGroup:
     """Value of the compatibility level i above the full block-automorphism
     group of ``pi`` (a partition with no trivial blocks)."""
     n = pi.size
     symmetric_under_reversal = parts.reverse_partition(pi) == pi
     if i == 1:
-        base = young_subgroup(parts.derive(pi))
+        base = young_subgroup(parts.derive(pi), element_cap)
         gens = list(base.generator_words)
         gens += [p.word for p in parts.interwoven_generators(pi)]
         if symmetric_under_reversal:
             gens.append(descending(n + 1).word)
-        return PermGroup.closure(gens, n + 1)
+        return PermGroup.closure(gens, n + 1, element_cap)
     if len(pi.blocks) > 1 and parts.interwoven(pi, 1, n):
         return natural_dihedral_group(n + i)
-    return _young_level(pi, i, symmetric_under_reversal)
+    return _young_level(pi, i, symmetric_under_reversal, element_cap)
 
 
-def _reversal_young_shape(g: PermGroup) -> parts.Partition | None:
+def _reversal_young_shape(g: PermGroup, element_cap: int) -> parts.Partition | None:
     """A partition whose Young subgroup together with the reversal equals
     ``g`` and satisfies the shape needed for an exact level formula:
     an interval partition, symmetric under reversal, with no two consecutive
@@ -293,7 +293,7 @@ def _reversal_young_shape(g: PermGroup) -> parts.Partition | None:
             continue
         if parts.has_consecutive_nontrivial_blocks(pi):
             continue
-        sy = young_subgroup(pi)
+        sy = young_subgroup(pi, element_cap)
         if g.order != 2 * sy.order:
             continue
         coset = {_compose_words(d, w) for w in sy.word_set}
@@ -302,85 +302,86 @@ def _reversal_young_shape(g: PermGroup) -> parts.Partition | None:
     return None
 
 
-def _value_symmetric(g, i):
-    return symmetric_group(g.degree + i), None, None, ("comp-symmetric-step",)
+def _value_symmetric(g, i, element_cap):
+    return symmetric_group(g.degree + i, element_cap), None, None, ("comp-symmetric-step",)
 
 
-def _value_alternating(g, i):
+def _value_alternating(g, i, element_cap):
     n = g.degree
     if i == 1:
-        return _alternating_next_group(n), None, None, ("comp-alternating-parity-sieve",)
+        cites = ("comp-alternating-parity-sieve",)
+        return _alternating_next_group(n, element_cap), None, None, cites
     return _alternating_tail_group(n, n + i), None, None, ("comp-alternating-collapse",)
 
 
-def _value_trivial(g, i):
+def _value_trivial(g, i, element_cap):
     return trivial_group(g.degree + i), None, None, ("comp-trivial-step",)
 
 
-def _value_desc_only(g, i):
+def _value_desc_only(g, i, element_cap):
     return descending_group(g.degree + i), None, None, ("comp-reversal-step",)
 
 
-def _value_natural_cycle(g, i):
+def _value_natural_cycle(g, i, element_cap):
     if descending(g.degree).word in g.word_set:
         return natural_dihedral_group(g.degree + i), None, None, ("comp-natural-cycle-dihedral",)
     return natural_cyclic_group(g.degree + i), None, None, ("comp-natural-cycle-cyclic",)
 
 
-def _value_intransitive(g, i):
+def _value_intransitive(g, i, element_cap):
     n = g.degree
     theta = g.orbits()
     has_desc = descending(n).word in g.word_set
-    if g.word_set == young_subgroup(theta).word_set:
+    if g.word_set == young_subgroup(theta, element_cap).word_set:
         cites = ("comp-young-derivative",)
-        return _young_level(theta, i, has_desc), None, None, cites
+        return _young_level(theta, i, has_desc, element_cap), None, None, cites
     if has_desc:
-        pi = _reversal_young_shape(g)
+        pi = _reversal_young_shape(g, element_cap)
         if pi is not None:
             return (
-                _young_level(pi, i, True),
+                _young_level(pi, i, True, element_cap),
                 None,
                 None,
                 ("comp-young-reversal-derivative",),
             )
     a, b = g.largest_ab()
-    lower = sab_group(n + i, a, b)
+    lower = sab_group(n + i, a, b, element_cap)
     delta_fixes_orbits = all(
         tuple(sorted(n + 1 - x for x in blk)) == blk for blk in theta.blocks
     )
-    upper = _young_level(theta, i, delta_fixes_orbits)
+    upper = _young_level(theta, i, delta_fixes_orbits, element_cap)
     return None, lower, upper, ("comp-orbit-sandwich",)
 
 
-def _value_imprimitive(g, i):
+def _value_imprimitive(g, i, element_cap):
     n = g.degree
     systems = g.block_systems()
     for pi in systems:
-        if partition_automorphisms(pi) == g:
+        if partition_automorphisms(pi, element_cap) == g:
             cite = (
                 "comp-block-automorphism-step" if i == 1 else "comp-block-automorphism-tail"
             )
-            return _autpi_level(pi, i), None, None, (cite,)
+            return _autpi_level(pi, i, element_cap), None, None, (cite,)
     a, b = g.largest_ab()
-    lower = sab_group(n + i, a, b)
+    lower = sab_group(n + i, a, b, element_cap)
     upper_words = None
     for pi in systems:
-        value = _autpi_level(pi, i)
+        value = _autpi_level(pi, i, element_cap)
         upper_words = (
             value.word_set if upper_words is None else upper_words & value.word_set
         )
-    upper = PermGroup.from_words(upper_words, n + i)
+    upper = PermGroup.from_words(upper_words, n + i, element_cap)
     return None, lower, upper, ("comp-imprimitive-sandwich",)
 
 
-def _value_primitive(g, i):
+def _value_primitive(g, i, element_cap):
     n = g.degree
     if n == 6:
         for table_group, result_words in _table_degree6():
             if table_group == g:
                 if i == 1:
                     return (
-                        PermGroup.from_words(result_words, 7),
+                        PermGroup.from_words(result_words, 7, element_cap),
                         None,
                         None,
                         ("comp-primitive-degree6-table",),
@@ -397,7 +398,7 @@ def _value_primitive(g, i):
         if matches:
             if i == 1:
                 return (
-                    PermGroup.closure([matches[0]], n + 1),
+                    PermGroup.closure([matches[0]], n + 1, element_cap),
                     None,
                     None,
                     ("comp-primitive-interval-dihedral",),
@@ -471,8 +472,9 @@ class Classification:
     """The kind, eventual family and onset bound of one group, computed once
     and shared by the predictions of all its levels."""
 
-    def __init__(self, g: PermGroup):
+    def __init__(self, g: PermGroup, *, element_cap: int = DEFAULT_ELEMENT_CAP):
         self.group = g
+        self.element_cap = element_cap
         self.kind = classify_kind(g)
         self.eventual, self.onset_bound = _eventual(g, self.kind)
 
@@ -481,7 +483,7 @@ class Classification:
         if i < 1:
             raise ValueError("level must be >= 1")
         g = self.group
-        exact, lower, upper, cites = _VALUE_DISPATCH[self.kind](g, i)
+        exact, lower, upper, cites = _VALUE_DISPATCH[self.kind](g, i, self.element_cap)
         return Prediction(
             base_degree=g.degree,
             level=i,

@@ -34,9 +34,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--element-cap", type=int, default=DEFAULT_ELEMENT_CAP)
-    parser.add_argument(
-        "--threads", type=int, default=1, help="worker processes for verify --catalog"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     pat = sub.add_parser("pat", help="patterns of a group, set, or permutation")
@@ -158,7 +155,7 @@ def _prediction_payload(pred: Prediction) -> dict:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     g = parse_group(args.group, args.element_cap)
-    c = Classification(g)
+    c = Classification(g, element_cap=args.element_cap)
     levels = []
     citations: list[str] = []
     for i in range(1, args.depth + 1):
@@ -205,9 +202,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.laws:
         reports = verify_laws(args.seed)
     elif args.catalog is not None:
-        reports = verify_catalog(
-            args.catalog, args.depth, threads=args.threads, element_cap=args.element_cap
-        )
+        reports = verify_catalog(args.catalog, args.depth, element_cap=args.element_cap)
     else:
         g = parse_group(args.group, args.element_cap)
         reports = verify_group(g, args.depth, element_cap=args.element_cap)
@@ -275,8 +270,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.threads < 1:
-            raise ValueError("--threads must be at least 1")
         return _COMMANDS[args.command](args)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -124,11 +124,10 @@ def comp_set(s: PermSet, m: int, *, element_cap: int = DEFAULT_ELEMENT_CAP) -> P
     return PermSet(m, words)
 
 
-def gpat(g: PermGroup, length: int, element_cap: int | None = None) -> PermGroup:
+def gpat(g: PermGroup, length: int, element_cap: int = DEFAULT_ELEMENT_CAP) -> PermGroup:
     """The group generated by the length-``length`` patterns of ``g``."""
-    cap = DEFAULT_ELEMENT_CAP if element_cap is None else element_cap
     pats = pat_set(g, length)
-    return PermGroup.closure(sorted(pats.word_set), length, cap)
+    return PermGroup.closure(sorted(pats.word_set), length, element_cap)
 
 
 def gcomp(g: PermGroup, m: int) -> PermGroup:

@@ -392,12 +392,23 @@ def dihedral_interval_group(n: int, a: int, b: int) -> PermGroup:
     return PermGroup.from_words(words, n)
 
 
-def young_subgroup(p: Partition, element_cap: int = DEFAULT_ELEMENT_CAP) -> PermGroup:
-    """All permutations mapping every block of ``p`` onto itself."""
+def _young_generators(p: Partition, element_cap: int) -> tuple[Word, ...]:
+    """The adjacent transpositions inside each block of ``p``, which generate
+    its Young subgroup; refused when that subgroup passes the cap."""
     _check_degree(p.size)
     order = math.prod(math.factorial(len(b)) for b in p.blocks)
     if order > element_cap:
         raise CapExceeded(f"Young subgroup order {order} exceeds the cap {element_cap}")
+    return tuple(
+        _transposition_word(p.size, b[i], b[i + 1])
+        for b in p.blocks
+        for i in range(len(b) - 1)
+    )
+
+
+def young_subgroup(p: Partition, element_cap: int = DEFAULT_ELEMENT_CAP) -> PermGroup:
+    """All permutations mapping every block of ``p`` onto itself."""
+    gens = _young_generators(p, element_cap)
     n = p.size
     words = []
     per_block = [list(itertools.permutations(b)) for b in p.blocks]
@@ -407,19 +418,13 @@ def young_subgroup(p: Partition, element_cap: int = DEFAULT_ELEMENT_CAP) -> Perm
             for x, y in zip(block, images):
                 w[x - 1] = y
         words.append(tuple(w))
-    gens = [
-        _transposition_word(n, b[i], b[i + 1])
-        for b in p.blocks
-        for i in range(len(b) - 1)
-    ]
-    return PermGroup(n, tuple(gens), words)
+    return PermGroup(n, gens, words)
 
 
 def young_with_reversal(p: Partition, element_cap: int = DEFAULT_ELEMENT_CAP) -> PermGroup:
     """The group generated by the Young subgroup of ``p`` and the reversal."""
-    base = young_subgroup(p, element_cap)
-    d = descending(p.size).word
-    return PermGroup.closure(base.generator_words + (d,), p.size, element_cap)
+    gens = _young_generators(p, element_cap) + (descending(p.size).word,)
+    return PermGroup.closure(gens, p.size, element_cap)
 
 
 def sab_group(n: int, a: int, b: int, element_cap: int = DEFAULT_ELEMENT_CAP) -> PermGroup:

@@ -40,11 +40,6 @@ class Partition:
     def same_block(self, x: int, y: int) -> bool:
         return self.block_index[x] == self.block_index[y]
 
-    @property
-    def is_trivial(self) -> bool:
-        """One single block, or all blocks singletons."""
-        return len(self.blocks) == 1 or all(len(b) == 1 for b in self.blocks)
-
     def has_trivial_block(self) -> bool:
         return any(len(b) == 1 for b in self.blocks)
 

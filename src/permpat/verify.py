@@ -10,9 +10,7 @@ import itertools
 import math
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from typing import AbstractSet, Callable, Iterable
 
 from . import perms as perms_mod
@@ -230,21 +228,18 @@ def verify_group(
 
 
 def verify_catalog(
-    n: int, depth: int = 2, *, threads: int = 1, element_cap: int = DEFAULT_ELEMENT_CAP
+    n: int, depth: int = 2, *, element_cap: int = DEFAULT_ELEMENT_CAP
 ) -> list[Report]:
     """Run prediction and onset checks over every subgroup of degree ``n``."""
     # enumerate_subgroups builds S_n whatever the cap, so refuse up front
     # when the largest subgroup passes it
     if math.factorial(n) > element_cap:
         raise CapExceeded(f"|S_{n}| = {math.factorial(n)} exceeds the cap {element_cap}")
-    check = partial(verify_group, depth=depth, element_cap=element_cap)
-    groups = enumerate_subgroups(n)
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(check, groups))
-    else:
-        chunks = map(check, groups)
-    reports = [r for chunk in chunks for r in chunk]
+    reports = [
+        r
+        for g in enumerate_subgroups(n)
+        for r in verify_group(g, depth, element_cap=element_cap)
+    ]
     reports.sort(key=lambda r: (r.check_id, r.scope))
     return reports
 

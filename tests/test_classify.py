@@ -1,3 +1,7 @@
+import ast
+import importlib
+from pathlib import Path
+
 import pytest
 
 import permpat as pp
@@ -173,3 +177,14 @@ def test_alternating_formula_is_group():
     for n in range(2, 9):
         g = _alternating_next_group(n)  # from_words validates closure
         assert g.degree == n + 1
+
+
+def test_classifier_imports_nothing_from_the_oracle():
+    # the level step in galois is the oracle the classifier is checked against
+    source = Path(importlib.import_module("permpat.classify").__file__).read_text()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            assert node.module is None or "galois" not in node.module.split(".")
+            assert all(alias.name != "galois" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            assert all("galois" not in alias.name.split(".") for alias in node.names)

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from permpat.cli import main
+from permpat.cli import _build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -94,20 +94,55 @@ def test_verify_level_size_cap(capsys):
 
 
 def test_verify_catalog_refuses_a_catalog_over_the_cap(capsys):
-    for threads in ("1", "2"):
-        code, out, err = run_cli(
-            capsys, "--element-cap", "100", "--threads", threads, "verify", "--catalog", "5"
-        )
-        assert code == 3 and out == ""
-        assert "|S_5| = 120" in err
+    code, out, err = run_cli(capsys, "--element-cap", "100", "verify", "--catalog", "5")
+    assert code == 3 and out == ""
+    assert "|S_5| = 120" in err
 
 
-def test_threads_is_a_positive_count(capsys):
+def test_threads_is_a_usage_error():
+    # the catalog verifier runs serially; there is no worker-count option
     with pytest.raises(SystemExit) as exc:
-        main(["--threads", "auto", "verify", "--laws"])
+        main(["--threads", "2", "verify", "--laws"])
     assert exc.value.code == 2
-    code, _, err = run_cli(capsys, "--threads", "0", "verify", "--catalog", "2")
-    assert code == 2 and "--threads" in err
+
+
+def test_global_options_are_format_and_element_cap():
+    parser = _build_parser()
+    options = {
+        opt
+        for action in parser._actions
+        for opt in action.option_strings
+        if opt not in ("-h", "--help")
+    }
+    assert options == {"--format", "--element-cap"}
+
+
+def test_classify_honours_the_element_cap(capsys):
+    # the level above S8 is S9 with 362880 words: refused, not built
+    code, out, err = run_cli(
+        capsys, "--element-cap", "1000", "classify", "--group", "S:6", "--depth", "3"
+    )
+    assert code == 3 and out == ""
+    assert "1000" in err
+    # S6 has 720 words, under the cap
+    code, out, _ = run_cli(
+        capsys, "--element-cap", "1000", "--format", "json",
+        "classify", "--group", "S:5", "--depth", "1",
+    )
+    assert code == 0
+    assert json.loads(out)["levels"][0]["exact"]["size"] == 720
+
+
+def test_cli_import_loads_no_process_pool():
+    code = (
+        "import sys, permpat.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_classify_dihedral(capsys):

@@ -152,6 +152,33 @@ def test_young_subgroups():
     assert rev.contains(pp.descending(5))
 
 
+def _set_partitions(n):
+    """Every partition of 1..n, each as a list of blocks."""
+    if n == 0:
+        yield []
+        return
+    for smaller in _set_partitions(n - 1):
+        for i in range(len(smaller)):
+            yield smaller[:i] + [smaller[i] + [n]] + smaller[i + 1:]
+        yield smaller + [[n]]
+
+
+def test_young_with_reversal_matches_closing_the_young_subgroup():
+    count = 0
+    for n in range(1, 7):
+        for blocks in _set_partitions(n):
+            p = pp.Partition.from_blocks(blocks)
+            d = pp.descending(n).word
+            old = PermGroup.closure(pp.young_subgroup(p).generator_words + (d,), n)
+            new = pp.young_with_reversal(p)
+            assert new.generator_words == old.generator_words, blocks
+            assert new.word_set == old.word_set, blocks
+            count += 1
+    assert count == 1 + 2 + 5 + 15 + 52 + 203  # Bell numbers
+    with pytest.raises(pp.CapExceeded, match="Young subgroup order 120 exceeds the cap 100"):
+        pp.young_with_reversal(pp.parse_partition("1,2,3,4,5|6"), 100)
+
+
 def test_dihedral_interval():
     g = pp.dihedral_interval_group(6, 2, 5)
     assert g.order == 8
