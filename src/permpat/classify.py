@@ -19,6 +19,7 @@ from . import partitions as parts
 from .groups import (
     DEFAULT_ELEMENT_CAP,
     PermGroup,
+    _young_order,
     descending_group,
     dihedral_interval_group,
     natural_cyclic_group,
@@ -293,9 +294,9 @@ def _reversal_young_shape(g: PermGroup, element_cap: int) -> parts.Partition | N
             continue
         if parts.has_consecutive_nontrivial_blocks(pi):
             continue
-        sy = young_subgroup(pi, element_cap)
-        if g.order != 2 * sy.order:
+        if g.order != 2 * _young_order(pi):
             continue
+        sy = young_subgroup(pi, element_cap)
         coset = {_compose_words(d, w) for w in sy.word_set}
         if g.word_set == sy.word_set | coset:
             return pi
@@ -332,7 +333,7 @@ def _value_intransitive(g, i, element_cap):
     n = g.degree
     theta = g.orbits()
     has_desc = descending(n).word in g.word_set
-    if g.word_set == young_subgroup(theta, element_cap).word_set:
+    if g.order == _young_order(theta):  # G lies in the Young subgroup of its orbits
         cites = ("comp-young-derivative",)
         return _young_level(theta, i, has_desc, element_cap), None, None, cites
     if has_desc:

@@ -22,29 +22,12 @@ never to (k+1)!.
 """
 from __future__ import annotations
 
-from typing import AbstractSet, Iterable, Iterator
+from typing import AbstractSet, Iterator
 
 from .groups import DEFAULT_ELEMENT_CAP, PermGroup, PermSet
-from .perms import MAX_DEGREE, CapExceeded, _delete_word
+from .perms import MAX_DEGREE, CapExceeded, _delete_word, _pattern_words
 
 Word = tuple[int, ...]
-
-
-def _pat_words(words: Iterable[Word], length: int) -> set[Word]:
-    import itertools
-
-    from .perms import _reduce_word
-
-    out: set[Word] = set()
-    for w in words:
-        n = len(w)
-        if length == n - 1:
-            for i in range(n):
-                out.add(_delete_word(w, i))
-        else:
-            for combo in itertools.combinations(range(n), length):
-                out.add(_reduce_word([w[i] for i in combo]))
-    return out
 
 
 def pat_set(t: PermSet, length: int) -> PermSet:
@@ -53,7 +36,7 @@ def pat_set(t: PermSet, length: int) -> PermSet:
         raise ValueError(f"pattern length {length} out of range 1..{t.degree}")
     if length == t.degree:
         return t
-    return PermSet(length, _pat_words(t.word_set, length))
+    return PermSet(length, _pattern_words(t.word_set, length))
 
 
 def _comp_step(

@@ -15,7 +15,7 @@ import math
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .partitions import Partition, parse_partition, refines
+from .partitions import Partition, congruence, parse_partition, refines
 from .perms import (
     CapExceeded,
     Perm,
@@ -67,14 +67,15 @@ def _extend(elems: set[Word], gens: list[Word], g: Word, element_cap: int) -> No
                 add_coset(prod)
 
 
-def _generate(gens: Iterable[Word], n: int, element_cap: int) -> set[Word]:
-    """The elements of <gens>, one generator at a time; redundant ones are skipped."""
+def _generate(gens: Iterable[Word], n: int, element_cap: int) -> tuple[set[Word], list[Word]]:
+    """The elements of <gens>, one generator at a time, and the generators
+    kept; a generator already in the group so far is skipped."""
     elems = {_identity_word(n)}
     kept: list[Word] = []
     for g in gens:
         if g not in elems:
             _extend(elems, kept, g, element_cap)
-    return elems
+    return elems, kept
 
 
 class PermSet:
@@ -146,7 +147,7 @@ class PermGroup(PermSet):
         for g in generators:
             if len(g) != degree:
                 raise ValueError(f"generator degree {len(g)} != {degree}")
-        return cls(degree, generators, _generate(generators, degree, element_cap))
+        return cls(degree, generators, _generate(generators, degree, element_cap)[0])
 
     @classmethod
     def from_words(
@@ -162,11 +163,7 @@ class PermGroup(PermSet):
         generators must reproduce the set exactly.
         """
         wset = frozenset(words)
-        gens: list[Word] = []
-        closed = {_identity_word(degree)}
-        for w in sorted(wset):
-            if w not in closed:
-                _extend(closed, gens, w, element_cap)
+        closed, gens = _generate(sorted(wset), degree, element_cap)
         if closed != wset:
             raise ValueError(
                 f"element set of size {len(wset)} is not closed "
@@ -198,58 +195,11 @@ class PermGroup(PermSet):
     def orbits(self) -> Partition:
         """The partition of {1..n} into orbits."""
         n = self.degree
-        seen = [False] * (n + 1)
-        blocks = []
-        for start in range(1, n + 1):
-            if seen[start]:
-                continue
-            orbit = {start}
-            queue = [start]
-            seen[start] = True
-            while queue:
-                x = queue.pop()
-                for g in self.generator_words:
-                    y = g[x - 1]
-                    if not seen[y]:
-                        seen[y] = True
-                        orbit.add(y)
-                        queue.append(y)
-            blocks.append(sorted(orbit))
-        return Partition.from_blocks(blocks)
+        pairs = [(x, g[x - 1]) for g in self.generator_words for x in range(1, n + 1)]
+        return congruence(n, pairs, ())
 
     def is_transitive(self) -> bool:
         return len(self.orbits().blocks) == 1
-
-    def _seeded_congruence(self, j: int) -> Partition:
-        # minimal G-invariant partition identifying 1 and j
-        n = self.degree
-        parent = list(range(n + 1))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x: int, y: int) -> bool:
-            rx, ry = find(x), find(y)
-            if rx == ry:
-                return False
-            parent[ry] = rx
-            return True
-
-        queue = [(1, j)]
-        union(1, j)
-        while queue:
-            x, y = queue.pop()
-            for g in self.generator_words:
-                u, v = g[x - 1], g[y - 1]
-                if union(u, v):
-                    queue.append((u, v))
-        groups: dict[int, list[int]] = {}
-        for x in range(1, n + 1):
-            groups.setdefault(find(x), []).append(x)
-        return Partition.from_blocks(groups.values())
 
     def block_systems(self) -> list[Partition]:
         """All minimal nontrivial invariant partitions of a transitive group."""
@@ -258,7 +208,8 @@ class PermGroup(PermSet):
         n = self.degree
         candidates = set()
         for j in range(2, n + 1):
-            part = self._seeded_congruence(j)
+            # the minimal G-invariant partition identifying 1 and j
+            part = congruence(n, [(1, j)], self.generator_words)
             if 1 < len(part.blocks) < n:
                 candidates.add(part)
         minimal = [
@@ -392,11 +343,16 @@ def dihedral_interval_group(n: int, a: int, b: int) -> PermGroup:
     return PermGroup.from_words(words, n)
 
 
+def _young_order(p: Partition) -> int:
+    """The order of the Young subgroup of ``p``, without building it."""
+    return math.prod(math.factorial(len(b)) for b in p.blocks)
+
+
 def _young_generators(p: Partition, element_cap: int) -> tuple[Word, ...]:
     """The adjacent transpositions inside each block of ``p``, which generate
     its Young subgroup; refused when that subgroup passes the cap."""
     _check_degree(p.size)
-    order = math.prod(math.factorial(len(b)) for b in p.blocks)
+    order = _young_order(p)
     if order > element_cap:
         raise CapExceeded(f"Young subgroup order {order} exceeds the cap {element_cap}")
     return tuple(
@@ -554,7 +510,7 @@ def _prime_power_order_words(n: int) -> list[Word]:
     out = []
     seen_cyclic: set[frozenset[Word]] = set()
     for w in sorted(itertools.permutations(range(1, n + 1))):
-        cyc = frozenset(_generate([w], n, math.factorial(n)))
+        cyc = frozenset(_generate([w], n, math.factorial(n))[0])
         if not _is_prime_power(len(cyc)):  # the order of w; 1 is no prime power
             continue
         if cyc not in seen_cyclic:

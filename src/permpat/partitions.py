@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .perms import Perm, ajd, dja, natural_cycle
 
@@ -86,25 +86,37 @@ def meet(p: Partition, q: Partition) -> Partition:
 
 
 def join(p: Partition, q: Partition) -> Partition:
-    """Finest common coarsening, by union-find over both block relations."""
+    """Finest common coarsening: the congruence of both block relations."""
     _check_sizes(p, q)
-    parent = list(range(p.size + 1))
+    pairs = [(b[0], x) for part in (p, q) for b in part.blocks for x in b[1:]]
+    return congruence(p.size, pairs, ())
+
+
+def congruence(
+    n: int, pairs: Iterable[tuple[int, int]], words: Sequence[Sequence[int]]
+) -> Partition:
+    """The finest partition of 1..n that joins every pair and that each word
+    (a permutation in one-line form) maps block onto block.  Union-find: each
+    merge of x and y queues (w(x), w(y)) for every word w."""
+    parent = list(range(n + 1))
 
     def find(x: int) -> int:
         while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
+            parent[x] = x = parent[parent[x]]  # path halving
         return x
 
-    for part in (p, q):
-        for b in part.blocks:
-            root = find(b[0])
-            for x in b[1:]:
-                parent[find(x)] = root
-    groups: dict[int, list[int]] = {}
-    for x in range(1, p.size + 1):
-        groups.setdefault(find(x), []).append(x)
-    return Partition.from_blocks(groups.values())
+    queue = list(pairs)
+    while queue:
+        x, y = queue.pop()
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[ry] = rx
+            for w in words:
+                queue.append((w[x - 1], w[y - 1]))
+    blocks: dict[int, list[int]] = {}
+    for x in range(1, n + 1):
+        blocks.setdefault(find(x), []).append(x)
+    return Partition.from_blocks(blocks.values())
 
 
 def _check_sizes(p: Partition, q: Partition) -> None:

@@ -95,6 +95,21 @@ def _reduce_word(word: Sequence[int]) -> tuple[int, ...]:
     return tuple(rank[v] for v in word)
 
 
+def _pattern_words(words: Iterable[tuple[int, ...]], length: int) -> set[tuple[int, ...]]:
+    """The length-``length`` patterns of all the words: one deletion per
+    position when a single point goes, else every position subset reduced.
+    Empty when ``length`` exceeds a word's length."""
+    out: set[tuple[int, ...]] = set()
+    for w in words:
+        n = len(w)
+        if length == n - 1:
+            out.update(_delete_word(w, i) for i in range(n))
+        else:
+            for combo in itertools.combinations(range(n), length):
+                out.add(_reduce_word([w[i] for i in combo]))
+    return out
+
+
 def _compose_words(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(f[x - 1] for x in g)
 
@@ -338,27 +353,12 @@ def all_patterns(p: Perm, length: int) -> tuple[Perm, ...]:
     n = p.degree
     if not 1 <= length <= n:
         raise ValueError(f"pattern length {length} out of range 1..{n}")
-    word = p.word
-    found = {
-        _reduce_word([word[i] for i in combo])
-        for combo in itertools.combinations(range(n), length)
-    }
-    return tuple(Perm(w) for w in sorted(found))
+    return tuple(Perm(w) for w in sorted(_pattern_words((p.word,), length)))
 
 
 def involves(tau: Perm, pi: Perm) -> bool:
     """True iff some subsequence of ``pi`` reduces to ``tau``."""
-    k, n = tau.degree, pi.degree
-    if k > n:
-        return False
-    if k == n:
-        return tau == pi
-    target = tau.word
-    word = pi.word
-    for combo in itertools.combinations(range(n), k):
-        if _reduce_word([word[i] for i in combo]) == target:
-            return True
-    return False
+    return tau.word in _pattern_words((pi.word,), tau.degree)
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,8 @@ def verify_prediction(
     g: PermGroup, depth: int, *, element_cap: int = DEFAULT_ELEMENT_CAP
 ) -> Report:
     """Compare predicted levels 1..depth against the brute-force engine."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     scope = f"{describe_group(g)} depth={depth}"
 
     def run() -> dict | None:
@@ -231,8 +233,10 @@ def verify_catalog(
     n: int, depth: int = 2, *, element_cap: int = DEFAULT_ELEMENT_CAP
 ) -> list[Report]:
     """Run prediction and onset checks over every subgroup of degree ``n``."""
-    # enumerate_subgroups builds S_n whatever the cap, so refuse up front
-    # when the largest subgroup passes it
+    # refuse up front what every group would refuse after the enumeration:
+    # no level to compare, or S_n (which enumerate_subgroups builds) past the cap
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     if math.factorial(n) > element_cap:
         raise CapExceeded(f"|S_{n}| = {math.factorial(n)} exceeds the cap {element_cap}")
     reports = [

@@ -319,3 +319,32 @@ def test_module_entry_point():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["generated"]["size"] == 8  # patterns generate one level down
+
+
+@pytest.mark.parametrize("depth", ["0", "-1"])
+@pytest.mark.parametrize("target", [["--group", "S:4"], ["--catalog", "3"]])
+def test_verify_depth_below_one_is_a_usage_error(capsys, target, depth):
+    # no level would be compared, so nothing may pass
+    code, out, err = run_cli(capsys, "verify", *target, "--depth", depth)
+    assert code == 2 and out == ""
+    assert "depth must be >= 1" in err
+
+
+def test_classify_intransitive_under_a_small_cap(capsys):
+    # the orbit test compares orders instead of building Young(1|2..6|7), 120 words
+    group = "gens:7:(2 3 4 5 6)"
+    code, out, _ = run_cli(
+        capsys, "--element-cap", "100", "--format", "json",
+        "classify", "--group", group, "--depth", "1",
+    )
+    assert code == 0
+    level = json.loads(out)["levels"][0]
+    assert (level["lower"]["size"], level["upper"]["size"]) == (1, 24)
+    code, out, _ = run_cli(capsys, "--element-cap", "100", "comp", "--group", group, "--to", "8")
+    assert code == 0 and "size 1" in out
+    # here the sandwich's own upper bound, Young(1..6|7|8) of order 720, exceeds the cap
+    code, out, err = run_cli(
+        capsys, "--element-cap", "200", "classify", "--group", "gens:7:(1 2 3 4 5 6)"
+    )
+    assert code == 3 and out == ""
+    assert "Young subgroup order 720" in err

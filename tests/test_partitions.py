@@ -128,3 +128,46 @@ def test_interwoven_generators():
     assert [str(g) for g in suffix] == ["1237654"]
     with pytest.raises(ValueError):
         pp.interwoven_generators(pp.parse_partition("1|2,3"))
+
+
+# ---------------------------------------------------------------------------
+# lattice operations against their definitions
+
+def _all_partitions(n):
+    """Every partition of 1..n, as block-label vectors (restricted growth strings)."""
+    out = [()]
+    for _ in range(n):
+        out = [lab + (c,) for lab in out for c in range(max(lab, default=-1) + 2)]
+    return out
+
+
+def _label_refines(p, q):
+    # p refines q iff the q-label is a function of the p-label
+    return len(set(zip(p, q))) == len(set(p))
+
+
+def _to_partition(labels):
+    blocks = {}
+    for x, c in enumerate(labels, start=1):
+        blocks.setdefault(c, []).append(x)
+    return pp.Partition.from_blocks(blocks.values())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_join_and_meet_match_their_definitions(n):
+    # join: the common coarsening that refines every other one; meet: the
+    # common refinement that every other one refines
+    labels = _all_partitions(n)
+    parts_by_label = {lab: _to_partition(lab) for lab in labels}
+    assert len(set(parts_by_label.values())) == {1: 1, 2: 2, 3: 5, 4: 15, 5: 52}[n]
+    below = {p: [q for q in labels if _label_refines(q, p)] for p in labels}
+    above = {p: [q for q in labels if _label_refines(p, q)] for p in labels}
+    for p in labels:
+        for q in labels:
+            ups = set(above[p]) & set(above[q])
+            (finest,) = [r for r in ups if all(_label_refines(r, s) for s in ups)]
+            downs = set(below[p]) & set(below[q])
+            (coarsest,) = [r for r in downs if all(_label_refines(s, r) for s in downs)]
+            pp_p, pp_q = parts_by_label[p], parts_by_label[q]
+            assert pp.join(pp_p, pp_q) == parts_by_label[finest], (p, q)
+            assert pp.meet(pp_p, pp_q) == parts_by_label[coarsest], (p, q)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -220,3 +222,54 @@ def test_symmetries_preserve_involvement(w_big, w_small):
     assert pp.involves(pp.reverse(tau), pp.reverse(pi)) == base
     assert pp.involves(pp.complement(tau), pp.complement(pi)) == base
     assert pp.involves(pp.inverse(tau), pp.inverse(pi)) == base
+
+
+# ---------------------------------------------------------------------------
+# pattern extraction against a reduction defined here
+
+def _rank_by_sorting(values):
+    ordered = sorted(values)
+    return tuple(ordered.index(v) + 1 for v in values)
+
+
+def _reference_patterns(word, length):
+    return {
+        _rank_by_sorting([word[i] for i in positions])
+        for positions in itertools.combinations(range(len(word)), length)
+    }
+
+
+def _words_up_to(n):
+    return [w for k in range(1, n + 1) for w in itertools.permutations(range(1, k + 1))]
+
+
+def test_pattern_extraction_matches_the_reference():
+    # every permutation of degree <= 6 at every length: all_patterns and
+    # pat_set give the reference patterns, involves is membership in them;
+    # the tau tried are every word of degree <= 4, every reference pattern,
+    # and the identity and reversal of every degree up to one past pi's
+    small_taus = _words_up_to(4)
+    for word in _words_up_to(6):
+        n = len(word)
+        pi = Perm(word)
+        by_length = {k: _reference_patterns(word, k) for k in range(1, n + 2)}
+        assert by_length[n + 1] == set()
+        for k in range(1, n + 1):
+            expected = sorted(by_length[k])
+            assert [q.word for q in pp.all_patterns(pi, k)] == expected, (word, k)
+            assert pp.pat_set(pp.PermSet(n, [word]), k).word_set == set(expected), (word, k)
+        taus = set(small_taus).union(*by_length.values())
+        for k in range(1, n + 2):
+            taus.update({tuple(range(1, k + 1)), tuple(range(k, 0, -1))})
+        for tau in taus:
+            assert pp.involves(Perm(tau), pi) == (tau in by_length.get(len(tau), ())), (tau, word)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_pat_set_of_many_words_is_the_union_of_their_patterns(n):
+    words = sorted(itertools.permutations(range(1, n + 1)))
+    for start in range(0, len(words), 7):
+        chunk = words[start:start + 7]
+        for k in range(1, n + 1):
+            expected = set().union(*(_reference_patterns(w, k) for w in chunk))
+            assert pp.pat_set(pp.PermSet(n, chunk), k).word_set == expected, (chunk, k)
