@@ -19,6 +19,12 @@ so one table, mapping each (k-1)-word u to the bitmask of last values v with
 at once.  Each input word costs k table lookups, and only the survivors are
 built as tuples.  Peak work and memory are proportional to the level sizes,
 never to (k+1)!.
+
+The deletions of w are walked by value, c = k..1, on one copy of w: by the
+time c is deleted, every value above c has been lowered by one, so the copy
+without the position of c is the deletion of c from w, and each probe is two
+slices.  The survivors are built downward too, v = k+1..1: ``lift(w, k+1)``
+is w itself, and each next lift raises the entry holding v.
 """
 from __future__ import annotations
 
@@ -45,9 +51,13 @@ def _comp_step(
     """One level up: all (k+1)-words whose single-point deletions all lie in ``words``.
 
     ``ext[u]`` has bit v set iff ``lift(u, v) + (v,)`` is in ``words``.  For
-    each w, deletion i < k of the candidates above w is one lookup of
-    ``ext[delete(w, i)]``, widened to the k+1 values of v by doubling bit
-    ``w[i]`` (see the module docstring); deletion k is w itself.
+    each w, deleting the value c from the candidates above w is one lookup
+    of ``ext[delete(w, w.index(c))]``, widened to the k+1 values of v by
+    doubling bit c (see the module docstring); deleting the last point leaves
+    w itself.  The deletions run by value, c = k..1, each probe sliced from
+    one copy of w in which the values above c are already lowered; the
+    survivors are lifted downward from ``lift(w, k+1) == w``, one raised
+    entry per v.
 
     Raises CapExceeded as soon as the level being built holds more than
     ``element_cap`` words.
@@ -60,17 +70,23 @@ def _comp_step(
     full = (1 << (k + 2)) - 2
     out: set[Word] = set()
     for w in words:
+        high = list(w)
         mask = full
-        for c in w:
-            # w is a permutation: deleting the position of c drops the value c
-            m = ext.get(tuple([x if x < c else x - 1 for x in w if x != c]), 0)
+        for c in range(k, 0, -1):
+            p = w.index(c)
+            m = ext.get((*high[:p], *high[p + 1:]), 0)
             mask &= (m & ((2 << c) - 1)) | (m >> c << (c + 1))
             if not mask:
                 break
+            high[p] = c - 1
         else:
-            for v in range(1, k + 2):
+            if mask >> (k + 1) & 1:
+                out.add((*w, k + 1))
+            lifted = list(w)
+            for v in range(k, 0, -1):
+                lifted[w.index(v)] = v + 1
                 if mask >> v & 1:
-                    out.add((*[x if x < v else x + 1 for x in w], v))
+                    out.add((*lifted, v))
             if len(out) > element_cap:
                 raise CapExceeded(
                     f"level degree {k + 1} exceeded the element cap of {element_cap} "

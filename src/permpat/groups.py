@@ -10,6 +10,7 @@ a hard error, never silent truncation.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from operator import itemgetter
@@ -78,6 +79,11 @@ def _generate(gens: Iterable[Word], n: int, element_cap: int) -> tuple[set[Word]
     return elems, kept
 
 
+def _orbit_partition(n: int, gens: Sequence[Word]) -> Partition:
+    """The orbits of <gens> on {1..n}: the finest partition joining x and g(x)."""
+    return congruence(n, [(x, g[x - 1]) for g in gens for x in range(1, n + 1)], ())
+
+
 class PermSet:
     """A set of same-degree permutations, held as one frozenset of words.
 
@@ -128,12 +134,13 @@ class PermSet:
 class PermGroup(PermSet):
     """A permutation set closed under composition, with a generator list."""
 
-    __slots__ = ("generator_words",)
+    __slots__ = ("generator_words", "_orbits")
 
     def __init__(self, degree: int, generator_words: Sequence[Word], words: Iterable[Word]):
         self.degree = degree
         self.word_set = frozenset(words)
         self.generator_words = tuple(generator_words)
+        self._orbits: Partition | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -160,15 +167,28 @@ class PermGroup(PermSet):
 
         Generators are recovered greedily, in sorted order, each one
         extending the group of those before it; the closure of the recovered
-        generators must reproduce the set exactly.
+        generators must reproduce the set exactly.  The sorted order is
+        produced lazily from a heap, and the walk stops at the first
+        extension whose closure equals the set, since no later word could
+        extend it; a set that is not a group walks every word.
         """
         wset = frozenset(words)
-        closed, gens = _generate(sorted(wset), degree, element_cap)
-        if closed != wset:
-            raise ValueError(
-                f"element set of size {len(wset)} is not closed "
-                f"(closure has {len(closed)} elements)"
-            )
+        heap = list(wset)
+        heapq.heapify(heap)
+        closed = {_identity_word(degree)}
+        gens: list[Word] = []
+        while heap:
+            g = heapq.heappop(heap)
+            if g not in closed:
+                _extend(closed, gens, g, element_cap)
+                if len(closed) == len(wset) and closed == wset:
+                    break
+        else:
+            if closed != wset:
+                raise ValueError(
+                    f"element set of size {len(wset)} is not closed "
+                    f"(closure has {len(closed)} elements)"
+                )
         return cls(degree, gens, wset)
 
     # -- basic protocol ------------------------------------------------------
@@ -193,10 +213,10 @@ class PermGroup(PermSet):
     # -- structure -----------------------------------------------------------
 
     def orbits(self) -> Partition:
-        """The partition of {1..n} into orbits."""
-        n = self.degree
-        pairs = [(x, g[x - 1]) for g in self.generator_words for x in range(1, n + 1)]
-        return congruence(n, pairs, ())
+        """The partition of {1..n} into orbits, computed once per group."""
+        if self._orbits is None:
+            self._orbits = _orbit_partition(self.degree, self.generator_words)
+        return self._orbits
 
     def is_transitive(self) -> bool:
         return len(self.orbits().blocks) == 1

@@ -145,6 +145,16 @@ def test_cli_import_loads_no_process_pool():
     assert out.strip() == "[]"
 
 
+def test_python_dash_m_runs_the_cli():
+    proc = subprocess.run(
+        [sys.executable, "-m", "permpat", "--format", "json", "levels", "--group", "S:3",
+         "--depth", "1"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["levels"] == [{"degree": 4, "size": 24, "family_match": True}]
+
+
 def test_classify_dihedral(capsys):
     code, out, _ = run_cli(capsys, "--format", "json", "classify", "--group", "D:8")
     assert code == 0

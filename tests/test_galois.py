@@ -166,12 +166,24 @@ def test_comp_step_edge_sets():
     assert _comp_step({(2, 1)}, 2) == {(3, 2, 1)}
 
 
-@pytest.mark.parametrize("family", ["S", "A", "C"])
+def _family_descriptor(family, n):
+    if family == "SPi":  # the Young subgroup of the two halves of 1..n
+        half = n // 2
+        blocks = [range(1, half + 1), range(half + 1, n + 1)]
+        return "SPi:" + "|".join(",".join(map(str, b)) for b in blocks if b)
+    return f"{family}:{n}"
+
+
+@pytest.mark.parametrize("family", ["S", "A", "C", "D", "SPi"])
 def test_comp_step_matches_reference_on_group_levels(family):
-    # every level above S_n, A_n and C_n up to degree 8
-    starts = [1] if family == "S" else range(1, 8)
+    # every level above S_n, A_n, C_n, D_n and S_h x S_(n-h) up to degree 8;
+    # the D and Young levels keep words whose survivors are some but not all
+    # k+1 lifts, so the downward lift runs on masks that are not full.  The
+    # starts leave out A_1, C_1, C_2, D_1..D_3 and S_0 x S_1: they are
+    # symmetric groups, whose levels the S row walks
+    starts = {"S": [1], "C": range(3, 8), "D": range(4, 8)}.get(family, range(2, 8))
     for n in starts:
-        words = set(pp.parse_group(f"{family}:{n}").word_set)
+        words = set(pp.parse_group(_family_descriptor(family, n)).word_set)
         for k in range(n, 8):
             step = _comp_step(words, k)
             assert step == _comp_step_reference(words, k), (family, n, k)

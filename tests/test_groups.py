@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import permpat as pp
-from permpat.groups import PermGroup, PermSet
+from permpat.galois import iter_levels
+from permpat.groups import DEFAULT_ELEMENT_CAP, PermGroup, PermSet, _generate
 from permpat.perms import _compose_words
 
 
@@ -342,6 +343,66 @@ def test_from_words_rejects_sets_the_reference_finds_open(case):
     else:
         with pytest.raises(ValueError):
             PermGroup.from_words(wset, n)
+
+
+def _from_words_reference(words, n, element_cap=DEFAULT_ELEMENT_CAP):
+    """from_words with the eager walk: close over every word in sorted order,
+    then compare the closure with the set."""
+    wset = frozenset(words)
+    closed, gens = _generate(sorted(wset), n, element_cap)
+    if closed != wset:
+        raise ValueError(
+            f"element set of size {len(wset)} is not closed "
+            f"(closure has {len(closed)} elements)"
+        )
+    return PermGroup(n, gens, wset)
+
+
+def _from_words_outcome(build, wset, n, element_cap):
+    try:
+        g = build(wset, n, element_cap)
+    except (ValueError, pp.CapExceeded) as exc:
+        return type(exc), str(exc)
+    return g.word_set, g.generator_words
+
+
+def _assert_from_words_matches_reference(wset, n):
+    # the full walk, and caps that stop the closure before, at and after the set
+    for cap in (DEFAULT_ELEMENT_CAP, 1, 2, len(wset) - 1, len(wset)):
+        assert _from_words_outcome(PermGroup.from_words, wset, n, cap) == (
+            _from_words_outcome(_from_words_reference, wset, n, cap)
+        ), (n, len(wset), cap)
+
+
+@pytest.mark.parametrize("family", ["S", "A", "C", "D"])
+def test_from_words_matches_reference_on_group_levels(family):
+    # every level above S_n, A_n, C_n and D_n up to degree 8; the starts leave
+    # out A_1, C_1, C_2 and D_1..D_3: they are symmetric groups, whose levels
+    # the S row walks
+    starts = {"S": [1], "C": range(3, 8), "D": range(4, 8)}.get(family, range(2, 8))
+    for n in starts:
+        for k, words in iter_levels(pp.parse_group(f"{family}:{n}"), 8 - n):
+            _assert_from_words_matches_reference(frozenset(words), k)
+
+
+def test_from_words_does_not_stop_on_a_closure_of_the_same_size():
+    # 1243 and 2134 close to {1234, 1243, 2134, 2143}: as many words as the
+    # set but not the set; 3412 then closes to the dihedral group of order 8
+    wset = frozenset(pp.parse_perm(t).word for t in ("1234", "1243", "2134", "3412"))
+    message = "element set of size 4 is not closed (closure has 8 elements)"
+    with pytest.raises(ValueError) as exc:
+        PermGroup.from_words(wset, 4)
+    assert str(exc.value) == message
+    _assert_from_words_matches_reference(wset, 4)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_generator_sets())
+def test_from_words_matches_reference_on_open_and_closed_sets(case):
+    n, words = case
+    wset = frozenset(words) | {tuple(range(1, n + 1))}
+    _assert_from_words_matches_reference(wset, n)
+    _assert_from_words_matches_reference(_bfs_closure(sorted(wset), n), n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

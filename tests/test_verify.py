@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 import permpat as pp
+from permpat import groups as groups_mod
 from permpat import perms as perms_mod
 from permpat import verify as verify_mod
 from permpat.verify import _family_candidates
@@ -45,6 +46,26 @@ def test_verify_catalog_small():
     reports = pp.verify_catalog(4, depth=2)
     assert len(reports) == 60
     assert all(r.status == "pass" for r in reports)
+
+
+def test_orbits_are_computed_once_per_group(monkeypatch):
+    asked, computed = [], []
+    orbits, orbit_partition = groups_mod.PermGroup.orbits, groups_mod._orbit_partition
+
+    def counting_orbits(self):
+        asked.append(self)  # keeps every group alive, so no id is reused
+        return orbits(self)
+
+    def counting_orbit_partition(n, gens):
+        computed.append(gens)
+        return orbit_partition(n, gens)
+
+    monkeypatch.setattr(groups_mod.PermGroup, "orbits", counting_orbits)
+    monkeypatch.setattr(groups_mod, "_orbit_partition", counting_orbit_partition)
+    assert all(r.status == "pass" for r in pp.verify_catalog(4, 2))
+    groups = {id(g) for g in asked}
+    assert len(computed) == len(groups)
+    assert len(asked) > 2 * len(groups)  # the classifier asks each group again and again
 
 
 def test_verify_catalog_workers_use_the_element_cap():
