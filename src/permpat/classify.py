@@ -4,8 +4,10 @@ Given a group of degree n, the classifier decides its structural class and
 produces the next level(s) of the compatibility sequence without brute force:
 exactly where a closed form exists, and as a (lower, upper) sandwich
 otherwise.  It also names the eventual family the sequence settles into and a
-bound on how many levels that takes.  Everything here is verified against the
-brute-force engine by the verifier module.
+bound on how many levels that takes.  Each class's family is stated once, in
+``_eventual``, and every settled level is that family's member at its degree:
+a class's own rule covers only the levels before it settles.  Everything here
+is verified against the brute-force engine by the verifier module.
 """
 from __future__ import annotations
 
@@ -20,14 +22,12 @@ from .groups import (
     DEFAULT_ELEMENT_CAP,
     PermGroup,
     _young_order,
-    descending_group,
     dihedral_interval_group,
     natural_cyclic_group,
     natural_dihedral_group,
     partition_automorphisms,
     sab_group,
     symmetric_group,
-    trivial_group,
     young_subgroup,
     young_with_reversal,
 )
@@ -116,15 +116,11 @@ def _sab_family_group(degree: int, a: int, b: int, with_descending: bool) -> Per
 class Prediction:
     """Classifier output for one level above the input group."""
 
-    base_degree: int
-    level: int
     degree: int
-    kind: ClassKind
     exact: PermGroup | None
     lower: PermGroup | None
     upper: PermGroup | None
     eventual: EventualFamily
-    onset_bound: int
     citations: tuple[str, ...]
 
 
@@ -187,25 +183,6 @@ def _alternating_next_group(n: int, element_cap: int = DEFAULT_ELEMENT_CAP) -> P
                 if not _is_even_word(w):
                     words.append(w)
     return PermGroup.from_words(words, m, element_cap)
-
-
-def _alternating_tail_group(n: int, degree: int) -> PermGroup:
-    """Levels two and more above the degree-n alternating group.
-
-    The second level collapses to the reversal group, the natural dihedral
-    group, the trivial group, or the natural cyclic group according to
-    n mod 4 = 0, 1, 2, 3, and stays in that family afterwards.  The split is
-    decided by whether the descending permutation is even (n mod 4 in {0, 1})
-    together with whether the natural cycle is even (n odd).
-    """
-    r = n % 4
-    if r == 0:
-        return descending_group(degree)
-    if r == 1:
-        return natural_dihedral_group(degree)
-    if r == 2:
-        return trivial_group(degree)
-    return natural_cyclic_group(degree)
 
 
 # ---------------------------------------------------------------------------
@@ -308,25 +285,10 @@ def _value_symmetric(g, i, element_cap):
 
 
 def _value_alternating(g, i, element_cap):
-    n = g.degree
-    if i == 1:
-        cites = ("comp-alternating-parity-sieve",)
-        return _alternating_next_group(n, element_cap), None, None, cites
-    return _alternating_tail_group(n, n + i), None, None, ("comp-alternating-collapse",)
-
-
-def _value_trivial(g, i, element_cap):
-    return trivial_group(g.degree + i), None, None, ("comp-trivial-step",)
-
-
-def _value_desc_only(g, i, element_cap):
-    return descending_group(g.degree + i), None, None, ("comp-reversal-step",)
-
-
-def _value_natural_cycle(g, i, element_cap):
-    if descending(g.degree).word in g.word_set:
-        return natural_dihedral_group(g.degree + i), None, None, ("comp-natural-cycle-dihedral",)
-    return natural_cyclic_group(g.degree + i), None, None, ("comp-natural-cycle-cyclic",)
+    if i > 1:
+        return None
+    cites = ("comp-alternating-parity-sieve",)
+    return _alternating_next_group(g.degree, element_cap), None, None, cites
 
 
 def _value_intransitive(g, i, element_cap):
@@ -375,54 +337,48 @@ def _value_imprimitive(g, i, element_cap):
     return None, lower, upper, ("comp-imprimitive-sandwich",)
 
 
-def _value_primitive(g, i, element_cap):
+def _primitive_row(g: PermGroup) -> tuple[Word, ...] | None:
+    """The table row that pins the level above a primitive group: at degree 6
+    the words of that level, elsewhere the single generator of the level above
+    the one interval-dihedral subgroup of ``g``.  None when no row matches."""
     n = g.degree
     if n == 6:
-        for table_group, result_words in _table_degree6():
-            if table_group == g:
-                if i == 1:
-                    return (
-                        PermGroup.from_words(result_words, 7, element_cap),
-                        None,
-                        None,
-                        ("comp-primitive-degree6-table",),
-                    )
-                return _primitive_tail(g, i), None, None, ("comp-primitive-reversal-cap",)
-    else:
-        matches = [
-            gen for (sub, gen) in _interval_dihedral_rows(n) if sub.is_subgroup_of(g)
-        ]
-        if len(matches) > 1:
-            raise AssertionError(
-                f"multiple interval-dihedral rows match a primitive group of degree {n}"
-            )
-        if matches:
-            if i == 1:
-                return (
-                    PermGroup.closure([matches[0]], n + 1, element_cap),
-                    None,
-                    None,
-                    ("comp-primitive-interval-dihedral",),
-                )
-            return _primitive_tail(g, i), None, None, ("comp-primitive-reversal-cap",)
-    return _primitive_tail(g, i), None, None, ("comp-primitive-reversal-cap",)
+        return next((words for table_group, words in _table_degree6() if table_group == g), None)
+    matches = [gen for sub, gen in _interval_dihedral_rows(n) if sub.is_subgroup_of(g)]
+    if len(matches) > 1:
+        raise AssertionError(
+            f"multiple interval-dihedral rows match a primitive group of degree {n}"
+        )
+    return (matches[0],) if matches else None
 
 
-def _primitive_tail(g, i):
-    if descending(g.degree).word in g.word_set:
-        return descending_group(g.degree + i)
-    return trivial_group(g.degree + i)
+def _value_primitive(g, i, element_cap):
+    row = _primitive_row(g)
+    if row is None or i > 1:
+        return None
+    if g.degree == 6:
+        level = PermGroup.from_words(row, 7, element_cap)
+        return level, None, None, ("comp-primitive-degree6-table",)
+    level = PermGroup.closure(row, g.degree + 1, element_cap)
+    return level, None, None, ("comp-primitive-interval-dihedral",)
 
 
 _VALUE_DISPATCH = {
     ClassKind.SYMMETRIC: _value_symmetric,
     ClassKind.ALTERNATING: _value_alternating,
-    ClassKind.TRIVIAL: _value_trivial,
-    ClassKind.DESC_ONLY: _value_desc_only,
-    ClassKind.CONTAINS_NATURAL_CYCLE: _value_natural_cycle,
     ClassKind.INTRANSITIVE: _value_intransitive,
     ClassKind.IMPRIMITIVE: _value_imprimitive,
     ClassKind.PRIMITIVE: _value_primitive,
+}
+
+# Citations of the levels the eventual family gives; the natural-cycle class
+# fills in its family's shape.
+_SETTLED_CITATION = {
+    ClassKind.ALTERNATING: "comp-alternating-collapse",
+    ClassKind.TRIVIAL: "comp-trivial-step",
+    ClassKind.DESC_ONLY: "comp-reversal-step",
+    ClassKind.CONTAINS_NATURAL_CYCLE: "comp-natural-cycle-{}",
+    ClassKind.PRIMITIVE: "comp-primitive-reversal-cap",
 }
 
 
@@ -436,13 +392,16 @@ def _eventual(g: PermGroup, kind: ClassKind) -> tuple[EventualFamily, int]:
     if kind is ClassKind.SYMMETRIC:
         return EventualFamily("symmetric"), 0
     if kind is ClassKind.ALTERNATING:
-        r = n % 4
+        # the second level collapses to the reversal group, the natural
+        # dihedral group, the trivial group or the natural cyclic group as
+        # n mod 4 = 0, 1, 2, 3: the reversal is even exactly when n mod 4 is 0
+        # or 1, and the natural cycle exactly when n is odd
         fam = {
             0: EventualFamily("sab", True, 1, 1),
             1: EventualFamily("cyclic", True),
             2: EventualFamily("sab", False, 1, 1),
             3: EventualFamily("cyclic", False),
-        }[r]
+        }[n % 4]
         return fam, 2
     if kind is ClassKind.TRIVIAL:
         return EventualFamily("sab", False, 1, 1), 0
@@ -461,12 +420,7 @@ def _eventual(g: PermGroup, kind: ClassKind) -> tuple[EventualFamily, int]:
         )
         return EventualFamily("sab", has_desc, a, b), bound
     # primitive: settles by level 2 at the latest, by level 1 without a table hit
-    table_hit = False
-    if n == 6:
-        table_hit = any(tg == g for tg, _ in _table_degree6())
-    else:
-        table_hit = any(sub.is_subgroup_of(g) for sub, _ in _interval_dihedral_rows(n))
-    return EventualFamily("sab", has_desc, 1, 1), 2 if table_hit else 1
+    return EventualFamily("sab", has_desc, 1, 1), 1 if _primitive_row(g) is None else 2
 
 
 class Classification:
@@ -480,23 +434,19 @@ class Classification:
         self.eventual, self.onset_bound = _eventual(g, self.kind)
 
     def level(self, i: int) -> Prediction:
-        """Predict the compatibility level ``i`` steps above the group."""
+        """Predict the compatibility level ``i`` steps above the group: by the
+        class's own rule, or by the eventual family once the rule is past."""
         if i < 1:
             raise ValueError("level must be >= 1")
         g = self.group
-        exact, lower, upper, cites = _VALUE_DISPATCH[self.kind](g, i, self.element_cap)
-        return Prediction(
-            base_degree=g.degree,
-            level=i,
-            degree=g.degree + i,
-            kind=self.kind,
-            exact=exact,
-            lower=lower,
-            upper=upper,
-            eventual=self.eventual,
-            onset_bound=self.onset_bound,
-            citations=cites,
-        )
+        value = _VALUE_DISPATCH.get(self.kind)
+        found = value(g, i, self.element_cap) if value else None
+        if found is None:
+            shape = "dihedral" if self.eventual.with_descending else "cyclic"
+            cite = _SETTLED_CITATION[self.kind].format(shape)
+            found = self.eventual.group_at(g.degree + i), None, None, (cite,)
+        exact, lower, upper, cites = found
+        return Prediction(g.degree + i, exact, lower, upper, self.eventual, cites)
 
 
 # ---------------------------------------------------------------------------
@@ -509,9 +459,11 @@ def predict_eventual(g: PermGroup) -> tuple[EventualFamily, int]:
     return c.eventual, c.onset_bound
 
 
-def predict_level(g: PermGroup, i: int) -> Prediction:
+def predict_level(
+    g: PermGroup, i: int, *, element_cap: int = DEFAULT_ELEMENT_CAP
+) -> Prediction:
     """Predict the compatibility level ``i`` steps above ``g``."""
-    return Classification(g).level(i)
+    return Classification(g, element_cap=element_cap).level(i)
 
 
 def predict_next(g: PermGroup) -> Prediction:

@@ -94,7 +94,7 @@ def verify_prediction(
         reachable = max(0, min(depth, MAX_DEGREE - g.degree))
         for k, words in iter_levels(g, reachable, element_cap=element_cap):
             i = k - g.degree
-            cx = _compare_level(predict_level(g, i), words, i)
+            cx = _compare_level(predict_level(g, i, element_cap=element_cap), words, i)
             if cx is not None:
                 return cx
         if reachable < depth:
@@ -431,12 +431,11 @@ def _all_partitions(n: int) -> list[parts.Partition]:
 def _law_young_join(_: random.Random) -> dict | None:
     for n in range(2, 6):
         all_parts = _all_partitions(n)
+        young = {p: young_subgroup(p) for p in all_parts}
         for p in all_parts:
-            yp = young_subgroup(p)
             for q in all_parts:
-                yq = young_subgroup(q)
-                joined = PermGroup.closure(yp.generator_words + yq.generator_words, n)
-                if joined != young_subgroup(parts.join(p, q)):
+                joined = PermGroup.closure(young[p].generator_words + young[q].generator_words, n)
+                if joined != young[parts.join(p, q)]:
                     return {"p": str(p), "q": str(q)}
     return None
 

@@ -11,7 +11,7 @@ import pytest
 
 import permpat as pp
 from permpat import partitions as parts
-from permpat.classify import _alternating_next_group, _alternating_tail_group
+from permpat.classify import _alternating_next_group
 from permpat.galois import PermSet, _comp_step
 from permpat.groups import PermGroup
 from permpat.perms import descending
@@ -64,7 +64,7 @@ def test_criterion_3_alternating_two_levels():
     t0 = time.time()
     for n in range(4, 9):
         levels = pp.comp_level_sequence(pp.alternating_group(n), 2)
-        expected = _alternating_tail_group(n, n + 2)
+        expected = pp.predict_level(pp.alternating_group(n), 2).exact
         assert levels[1] == expected, n
     # spot-check the residues hit the intended families
     assert pp.comp_level_sequence(pp.alternating_group(4), 2)[1] == pp.descending_group(6)

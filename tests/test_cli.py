@@ -358,3 +358,60 @@ def test_classify_intransitive_under_a_small_cap(capsys):
     )
     assert code == 3 and out == ""
     assert "Young subgroup order 720" in err
+
+
+def test_verify_honours_the_element_cap_for_predicted_levels(capsys):
+    # the predicted upper bound Young(1..6|7|8) has 720 words: the prediction
+    # is skipped under a cap of 200, as classify refuses it, not built and passed
+    code, out, err = run_cli(
+        capsys, "--element-cap", "200", "--format", "json",
+        "verify", "--group", "gens:7:(1 2 3 4 5 6)", "--depth", "1",
+    )
+    assert code == 0
+    reports = {r["check_id"]: r for r in map(json.loads, out.splitlines())}
+    assert reports["prediction"]["status"] == "skipped"
+    assert reports["prediction"]["counterexample"]["reason"] == (
+        "Young subgroup order 720 exceeds the cap 200"
+    )
+    assert "skipped" in err
+
+
+PGL27 = "gens:8:(1 2 3 4 5 6 7);(2 7)(3 6)(4 5);(1 8)(3 5)(4 6);(2 4 3 7 5 6)"
+
+
+def test_interval_dihedral_rule_on_pgl27(capsys):
+    # PGL(2,7) on 8 points contains the dihedral group on 1..7, which pins level 9
+    code, out, _ = run_cli(capsys, "--format", "json", "verify", "--group", PGL27, "--depth", "2")
+    assert code == 0
+    assert all(json.loads(line)["status"] == "pass" for line in out.splitlines())
+    code, out, _ = run_cli(capsys, "--format", "json", "classify", "--group", PGL27, "--depth", "3")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["citations"] == [
+        "comp-primitive-interval-dihedral", "comp-primitive-reversal-cap"
+    ]
+    assert payload["levels"][0]["exact"]["elements"] == ["123456789", "765432189"]
+
+
+@pytest.mark.parametrize(
+    "group, kind, citations",
+    [
+        ("S:4", "symmetric", ["comp-symmetric-step"]),
+        ("T:5", "trivial", ["comp-trivial-step"]),
+        ("Desc:5", "descending-only", ["comp-reversal-step"]),
+        ("C:6", "contains-natural-cycle", ["comp-natural-cycle-cyclic"]),
+        ("D:6", "contains-natural-cycle", ["comp-natural-cycle-dihedral"]),
+        ("A:5", "alternating", ["comp-alternating-parity-sieve", "comp-alternating-collapse"]),
+        ("SPi:1,2|3,4", "intransitive", ["comp-young-derivative"]),
+        ("AutPi:1,2|3,4", "imprimitive",
+         ["comp-block-automorphism-step", "comp-block-automorphism-tail"]),
+        ("gens:5:(1 2 3 5 4)", "primitive", ["comp-primitive-reversal-cap"]),
+        ("gens:6:(1 2 3 4);(3 4 5 6)", "primitive",
+         ["comp-primitive-degree6-table", "comp-primitive-reversal-cap"]),
+    ],
+)
+def test_classify_citations_per_class(capsys, group, kind, citations):
+    code, out, _ = run_cli(capsys, "--format", "json", "classify", "--group", group, "--depth", "3")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["kind"], payload["citations"]) == (kind, citations)

@@ -28,8 +28,8 @@ def test_verify_prediction_fails_below_cap(monkeypatch):
     # a wrong level under the cap is reported as a failure, not as a skip
     real = verify_mod.predict_level
 
-    def wrong(g, i):
-        return dataclasses.replace(real(g, i), exact=pp.trivial_group(g.degree + i))
+    def wrong(g, i, **kwargs):
+        return dataclasses.replace(real(g, i, **kwargs), exact=pp.trivial_group(g.degree + i))
 
     monkeypatch.setattr(verify_mod, "predict_level", wrong)
     report = pp.verify_prediction(pp.symmetric_group(4), 3, element_cap=200)
@@ -68,7 +68,7 @@ def test_orbits_are_computed_once_per_group(monkeypatch):
     assert len(asked) > 2 * len(groups)  # the classifier asks each group again and again
 
 
-def test_verify_catalog_workers_use_the_element_cap():
+def test_verify_catalog_uses_the_element_cap():
     # the S5 level above S3 passes a cap of 100 words
     reports = pp.verify_catalog(3, depth=3, element_cap=100)
     skipped = [r for r in reports if r.status == "skipped"]
