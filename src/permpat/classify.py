@@ -31,7 +31,7 @@ from .groups import (
     young_subgroup,
     young_with_reversal,
 )
-from .perms import _compose_words, _is_even_word, ajd, descending, dja, natural_cycle
+from .perms import _is_even_word, ajd, descending, dja, natural_cycle, parse_perm
 
 Word = tuple[int, ...]
 
@@ -190,8 +190,6 @@ def _alternating_next_group(n: int, element_cap: int = DEFAULT_ELEMENT_CAP) -> P
 
 @lru_cache(maxsize=1)
 def _table_degree6() -> tuple[tuple[PermGroup, tuple[Word, ...]], ...]:
-    from .perms import parse_perm
-
     def grp(*cycles: str) -> PermGroup:
         return PermGroup.closure([parse_perm(c, 6).word for c in cycles], 6)
 
@@ -265,7 +263,6 @@ def _reversal_young_shape(g: PermGroup, element_cap: int) -> parts.Partition | N
             split = [b for b in gamma.blocks if b != mid]
             split += [(n // 2,), (n // 2 + 1,)]
             candidates.append(parts.Partition.from_blocks(split))
-    d = descending(n).word
     for pi in candidates:
         if parts.reverse_partition(pi) != pi:
             continue
@@ -273,9 +270,7 @@ def _reversal_young_shape(g: PermGroup, element_cap: int) -> parts.Partition | N
             continue
         if g.order != 2 * _young_order(pi):
             continue
-        sy = young_subgroup(pi, element_cap)
-        coset = {_compose_words(d, w) for w in sy.word_set}
-        if g.word_set == sy.word_set | coset:
+        if young_with_reversal(pi, element_cap) == g:
             return pi
     return None
 

@@ -6,7 +6,9 @@ comparison is the dominant query.  A set or group holds its words in one
 frozenset; order is imposed only where it is part of the output or of a
 deterministic choice.  Closures grow one generator at a time by coset
 (Dimino's algorithm) and are guarded by an element cap; exceeding the cap is
-a hard error, never silent truncation.
+a hard error, never silent truncation.  Every named group but the symmetric
+group is the closure of the generators it states, and a group built from
+written-out words is checked by ``PermGroup.from_words``.
 """
 from __future__ import annotations
 
@@ -16,17 +18,17 @@ import math
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .partitions import Partition, congruence, parse_partition, refines
+from .partitions import Partition, congruence, end_blocks, parse_partition, refines
 from .perms import (
     CapExceeded,
     Perm,
     _check_degree,
     _compose_words,
     _is_even_word,
-    _jumps_word,
-    JumpPair,
     descending,
+    format_perm,
     natural_cycle,
+    parse_perm,
 )
 
 DEFAULT_ELEMENT_CAP = 500_000
@@ -151,6 +153,7 @@ class PermGroup(PermSet):
         degree: int,
         element_cap: int = DEFAULT_ELEMENT_CAP,
     ) -> "PermGroup":
+        _check_degree(degree)
         for g in generators:
             if len(g) != degree:
                 raise ValueError(f"generator degree {len(g)} != {degree}")
@@ -265,32 +268,12 @@ class PermGroup(PermSet):
         w[i - 1], w[i] = w[i], w[i - 1]
         return tuple(w) in self.word_set
 
-    def is_anomalous(self) -> bool:
-        """Contains the natural cycle while the one-shorter patterns generate
-        a proper subgroup of the full symmetric group."""
-        n = self.degree
-        if n < 2:
-            raise ValueError("anomaly is defined for degree >= 2")
-        if natural_cycle(n).word not in self.word_set:
-            return False
-        from .galois import gpat  # local import; galois depends on groups
-
-        return gpat(self, n - 1).order != math.factorial(n - 1)
-
-    def jump_set(self) -> tuple[JumpPair, ...]:
-        """Union of the jump pairs over all elements."""
-        pairs = set()
-        for w in self.word_set:
-            pairs.update(_jumps_word(w))
-        return tuple(JumpPair(a, b) for a, b in sorted(pairs))
-
 
 # ---------------------------------------------------------------------------
 # named constructions
 
 def trivial_group(n: int) -> PermGroup:
-    _check_degree(n)
-    return PermGroup(n, (), {_identity_word(n)})
+    return PermGroup.closure((), n)
 
 
 def symmetric_group(n: int, element_cap: int = DEFAULT_ELEMENT_CAP) -> PermGroup:
@@ -312,7 +295,6 @@ def alternating_group(n: int, element_cap: int = DEFAULT_ELEMENT_CAP) -> PermGro
     _check_degree(n)
     if n >= 2 and math.factorial(n) // 2 > element_cap:
         raise CapExceeded(f"|A_{n}| exceeds the cap {element_cap}")
-    words = [w for w in itertools.permutations(range(1, n + 1)) if _is_even_word(w)]
     if n <= 2:
         gens: tuple[Word, ...] = ()
     else:
@@ -323,22 +305,15 @@ def alternating_group(n: int, element_cap: int = DEFAULT_ELEMENT_CAP) -> PermGro
             gens = (three, natural_cycle(n).word)
         else:
             gens = (three, (1,) + tuple(range(3, n + 1)) + (2,))
-    return PermGroup(n, gens, words)
+    return PermGroup.closure(gens, n, element_cap)
 
 
 def descending_group(n: int) -> PermGroup:
-    d = descending(n).word
-    return PermGroup(n, (d,), {_identity_word(n), d})
+    return PermGroup.closure([descending(n).word], n)
 
 
 def natural_cyclic_group(n: int) -> PermGroup:
-    z = natural_cycle(n).word
-    words = []
-    w = _identity_word(n)
-    for _ in range(n):
-        words.append(w)
-        w = _compose_words(z, w)
-    return PermGroup(n, (z,), words)
+    return PermGroup.closure([natural_cycle(n).word], n)
 
 
 def natural_dihedral_group(n: int) -> PermGroup:
@@ -384,17 +359,7 @@ def _young_generators(p: Partition, element_cap: int) -> tuple[Word, ...]:
 
 def young_subgroup(p: Partition, element_cap: int = DEFAULT_ELEMENT_CAP) -> PermGroup:
     """All permutations mapping every block of ``p`` onto itself."""
-    gens = _young_generators(p, element_cap)
-    n = p.size
-    words = []
-    per_block = [list(itertools.permutations(b)) for b in p.blocks]
-    for choice in itertools.product(*per_block):
-        w = [0] * n
-        for block, images in zip(p.blocks, choice):
-            for x, y in zip(block, images):
-                w[x - 1] = y
-        words.append(tuple(w))
-    return PermGroup(n, gens, words)
+    return PermGroup.closure(_young_generators(p, element_cap), p.size, element_cap)
 
 
 def young_with_reversal(p: Partition, element_cap: int = DEFAULT_ELEMENT_CAP) -> PermGroup:
@@ -405,8 +370,6 @@ def young_with_reversal(p: Partition, element_cap: int = DEFAULT_ELEMENT_CAP) ->
 
 def sab_group(n: int, a: int, b: int, element_cap: int = DEFAULT_ELEMENT_CAP) -> PermGroup:
     """Permutations preserving [1,a] and the length-b suffix, fixing the middle."""
-    from .partitions import end_blocks
-
     return young_subgroup(end_blocks(n, a, b), element_cap)
 
 
@@ -489,8 +452,6 @@ def parse_group(text: str, element_cap: int = DEFAULT_ELEMENT_CAP) -> PermGroup:
         if head == "gens":
             deg_text, _, gtext = rest.partition(":")
             n = int(deg_text)
-            from .perms import parse_perm
-
             gens = [parse_perm(t, n).word for t in gtext.split(";") if t.strip()]
             return PermGroup.closure(gens, n, element_cap)
     except CapExceeded:
@@ -502,8 +463,6 @@ def parse_group(text: str, element_cap: int = DEFAULT_ELEMENT_CAP) -> PermGroup:
 
 def describe_group(g: PermGroup) -> str:
     """A descriptor string that parses back to the same group."""
-    from .perms import format_perm
-
     gens = ";".join(format_perm(Perm(w), "cycles") for w in g.generator_words)
     return f"gens:{g.degree}:{gens}"
 
@@ -559,8 +518,8 @@ def enumerate_subgroups(n: int) -> list[PermGroup]:
     """
     if not 1 <= n <= MAX_SUBGROUP_DEGREE:
         raise ValueError(f"subgroup enumeration is capped at degree {MAX_SUBGROUP_DEGREE}")
-    full = frozenset(itertools.permutations(range(1, n + 1)))
-    even_half = frozenset(w for w in full if _is_even_word(w))
+    full = symmetric_group(n).word_set
+    even_half = alternating_group(n).word_set
     cutoff = _LARGEST_SPORADIC_ORDER[n]
     extenders = _prime_power_order_words(n)
     seen: dict[frozenset[Word], tuple[Word, ...]] = {}

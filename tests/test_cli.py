@@ -291,6 +291,9 @@ def test_degree_zero_descriptors_are_parse_errors(capsys):
         ("levels", "--group", "A:0", "--depth", "1"),
         ("classify", "--group", "T:0"),
         ("levels", "--group", "T:0", "--depth", "1"),
+        ("classify", "--group", "gens:0:"),
+        ("comp", "--group", "gens:-1:", "--to", "3"),
+        ("verify", "--group", "gens:-1:", "--depth", "1"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
@@ -305,6 +308,7 @@ def _points(lo, hi):
     "descriptor",
     [
         "S:17",
+        "gens:17:",
         "Dint:17:1:4",
         "Sab:17:1:1",
         "SPi:" + _points(1, 17),

@@ -164,6 +164,32 @@ def _set_partitions(n):
         yield smaller + [[n]]
 
 
+def _inversions(w):
+    return sum(1 for i, j in itertools.combinations(range(len(w)), 2) if w[i] > w[j])
+
+
+def test_named_groups_match_their_definitions():
+    # each constructor closes generators; compare with the element sets
+    # the definitions name, built without any closure
+    count = 0
+    for n in range(1, 7):
+        words = list(itertools.permutations(range(1, n + 1)))
+        for blocks in _set_partitions(n):
+            expected = {w for w in words if all({w[x - 1] for x in b} == set(b) for b in blocks)}
+            assert pp.young_subgroup(pp.Partition.from_blocks(blocks)).word_set == expected, blocks
+            count += 1
+    assert count == 278
+    for n in range(1, 9):
+        expected = {w for w in itertools.permutations(range(1, n + 1)) if _inversions(w) % 2 == 0}
+        assert pp.alternating_group(n).word_set == expected, n
+    for n in range(1, 11):
+        identity = tuple(range(1, n + 1))
+        rotations = {tuple((x + k) % n + 1 for x in range(n)) for k in range(n)}
+        assert pp.natural_cyclic_group(n).word_set == rotations, n
+        assert pp.descending_group(n).word_set == {identity, identity[::-1]}, n
+        assert pp.trivial_group(n).word_set == {identity}, n
+
+
 def test_young_with_reversal_matches_closing_the_young_subgroup():
     count = 0
     for n in range(1, 7):
@@ -227,21 +253,6 @@ def test_largest_ab():
     assert pp.trivial_group(4).largest_ab() == (1, 1)
     assert pp.alternating_group(5).largest_ab() == (1, 1)
     assert pp.young_subgroup(pp.parse_partition("1,2,3|4,5")).largest_ab() == (3, 2)
-
-
-def test_is_anomalous():
-    assert pp.natural_cyclic_group(5).is_anomalous()
-    assert pp.natural_dihedral_group(6).is_anomalous()
-    assert not pp.alternating_group(5).is_anomalous()
-    assert not pp.symmetric_group(3).is_anomalous()
-
-
-def test_jump_set():
-    g = PermGroup.from_words(
-        {pp.parse_perm(t).word for t in ("1234567", "1276543", "1567234", "1543276")}, 7
-    )
-    assert [tuple(j) for j in g.jump_set()] == [(1, 5), (2, 7)]
-    assert pp.descending_group(6).jump_set() == ()
 
 
 def test_enumerate_subgroups_counts():

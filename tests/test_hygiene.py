@@ -3,14 +3,32 @@
 Every module-level import of a module in ``src/permpat`` (``__init__.py``
 aside, which imports to re-export) is used in that module, and every
 module-level ``_private`` function is referenced somewhere in the package.
+Imports sit at module level only and follow the layer order ``LAYERS``, and
+a ``PermGroup`` is constructed directly only where its element set is
+produced or checked by the closure, or is all of S_n.
 """
 import ast
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "permpat"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+#: Each module imports only from the modules before it.
+LAYERS = ("perms", "partitions", "groups", "galois", "classify", "verify", "cli", "__main__")
+
+#: The only functions that call ``PermGroup(...)``, or ``cls(...)`` in a
+#: ``PermGroup`` method: the closure, the group check ``from_words``, S_n
+#: (all words by definition) and the subgroup enumeration, whose element sets
+#: come from ``_extend``.
+DIRECT_CONSTRUCTORS = {
+    "PermGroup.closure",
+    "PermGroup.from_words",
+    "symmetric_group",
+    "enumerate_subgroups",
+}
 
 
 def _names_used(tree: ast.AST) -> set[str]:
@@ -62,3 +80,52 @@ def test_private_functions_are_referenced():
         and node.name not in used
     ]
     assert not unreferenced, f"private functions never referenced: {unreferenced}"
+
+
+def _functions(tree: ast.AST, prefix: str = "") -> Iterator[tuple[str, ast.AST]]:
+    """Every function definition, with its dotted name, outermost first."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + node.name, node
+            yield from _functions(node, prefix + node.name + ".")
+        elif isinstance(node, ast.ClassDef):
+            yield from _functions(node, prefix + node.name + ".")
+        else:
+            yield from _functions(node, prefix)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_imports_sit_at_module_level(path):
+    tree = ast.parse(path.read_text())
+    inside = [
+        f"{name}:{node.lineno}"
+        for name, fn in _functions(tree)
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert not inside, f"{path.name} imports inside functions at {inside}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_modules_import_only_earlier_layers(path):
+    layer = LAYERS.index(path.stem)
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            targets = [node.module] if node.module else [a.name for a in node.names]
+            for target in targets:
+                assert LAYERS.index(target) < layer, f"{path.name} imports .{target}"
+
+
+def test_permgroup_is_constructed_directly_only_by_the_closure():
+    found = set()
+    for path in SRC.glob("*.py"):
+        for name, fn in _functions(ast.parse(path.read_text())):
+            for node in ast.walk(fn):
+                if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+                    continue
+                callee = node.func.id
+                if callee == "PermGroup" or (callee == "cls" and name.startswith("PermGroup.")):
+                    found.add(name)
+    assert found <= DIRECT_CONSTRUCTORS, (
+        f"PermGroup built directly in {sorted(found - DIRECT_CONSTRUCTORS)}"
+    )
