@@ -18,26 +18,20 @@ from .perms import (
     compose,
     delete_point,
     descending,
-    direct_sum,
     dja,
     format_perm,
     inverse,
     involves,
-    is_even,
     jumps,
     natural_cycle,
     parity,
     parse_perm,
     pattern,
     power,
-    reduce_word,
     reverse,
-    rc_conjugate,
-    skew_sum,
 )
 from .partitions import (
     Partition,
-    delta_pairs,
     derive,
     derive_iter,
     end_blocks,
@@ -50,7 +44,6 @@ from .partitions import (
     meet,
     mu,
     mu_ab,
-    odd_even,
     parse_partition,
     refines,
     reverse_partition,
@@ -73,7 +66,7 @@ from .groups import (
     young_subgroup,
     young_with_reversal,
 )
-from .galois import comp_level_sequence, comp_set, gcomp, gpat, pat_set
+from .galois import comp_set, pat_set
 from .classify import (
     ClassKind,
     EventualFamily,
@@ -81,7 +74,6 @@ from .classify import (
     classify_kind,
     predict_eventual,
     predict_level,
-    predict_next,
 )
 from .verify import (
     Report,

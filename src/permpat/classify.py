@@ -459,8 +459,3 @@ def predict_level(
 ) -> Prediction:
     """Predict the compatibility level ``i`` steps above ``g``."""
     return Classification(g, element_cap=element_cap).level(i)
-
-
-def predict_next(g: PermGroup) -> Prediction:
-    """Predict the level directly above ``g``."""
-    return predict_level(g, 1)

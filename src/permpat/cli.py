@@ -154,6 +154,8 @@ def _prediction_payload(pred: Prediction) -> dict:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    if args.depth < 1:
+        raise ValueError("depth must be >= 1")
     g = parse_group(args.group, args.element_cap)
     c = Classification(g, element_cap=args.element_cap)
     levels = []
@@ -230,6 +232,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_levels(args: argparse.Namespace) -> int:
+    if args.depth < 1:
+        raise ValueError("depth must be >= 1")
     g = parse_group(args.group, args.element_cap)
     family = predict_level(g, 1).eventual
     rows = []

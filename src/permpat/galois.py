@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import AbstractSet, Iterator
 
-from .groups import DEFAULT_ELEMENT_CAP, PermGroup, PermSet
+from .groups import DEFAULT_ELEMENT_CAP, PermSet
 from .perms import MAX_DEGREE, CapExceeded, _delete_word, _pattern_words
 
 Word = tuple[int, ...]
@@ -121,21 +121,3 @@ def comp_set(s: PermSet, m: int, *, element_cap: int = DEFAULT_ELEMENT_CAP) -> P
     for _, words in iter_levels(s, m - s.degree, element_cap=element_cap):
         pass
     return PermSet(m, words)
-
-
-def gpat(g: PermGroup, length: int, element_cap: int = DEFAULT_ELEMENT_CAP) -> PermGroup:
-    """The group generated by the length-``length`` patterns of ``g``."""
-    pats = pat_set(g, length)
-    return PermGroup.closure(sorted(pats.word_set), length, element_cap)
-
-
-def gcomp(g: PermGroup, m: int) -> PermGroup:
-    """Compatibility set of a group, verified to be a group itself."""
-    return PermGroup.from_words(comp_set(g, m).word_set, m)
-
-
-def comp_level_sequence(g: PermGroup, depth: int) -> list[PermGroup]:
-    """The next ``depth`` levels above ``g``, each one computed from the last."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    return [PermGroup.from_words(words, k) for k, words in iter_levels(g, depth)]

@@ -203,11 +203,6 @@ class PermGroup(PermSet):
     def __repr__(self) -> str:
         return f"<PermGroup degree={self.degree} order={self.order}>"
 
-    def contains(self, p: Perm) -> bool:
-        if p.degree != self.degree:
-            raise ValueError(f"degree mismatch: {p.degree} vs {self.degree}")
-        return p.word in self.word_set
-
     def is_subgroup_of(self, other: "PermGroup") -> bool:
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
@@ -264,9 +259,7 @@ class PermGroup(PermSet):
         return a, b
 
     def _has_adjacent_transposition(self, i: int) -> bool:
-        w = list(range(1, self.degree + 1))
-        w[i - 1], w[i] = w[i], w[i - 1]
-        return tuple(w) in self.word_set
+        return _transposition_word(self.degree, i, i + 1) in self.word_set
 
 
 # ---------------------------------------------------------------------------

@@ -127,20 +127,6 @@ def _check_sizes(p: Partition, q: Partition) -> None:
 # ---------------------------------------------------------------------------
 # named partitions
 
-def delta_pairs(n: int) -> Partition:
-    """Pairs {i, n+1-i} (the orbits of the descending permutation)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return Partition.from_blocks({tuple(sorted({i, n + 1 - i})) for i in range(1, n + 1)})
-
-
-def odd_even(n: int) -> Partition:
-    """Two blocks: odd numbers and even numbers."""
-    if n < 2:
-        raise ValueError("odd/even split needs n >= 2")
-    return Partition.from_blocks([range(1, n + 1, 2), range(2, n + 1, 2)])
-
-
 def end_blocks(n: int, a: int, b: int) -> Partition:
     """Blocks [1,a] and [n-b+1,n] with everything between left as singletons."""
     if not (1 <= a and 1 <= b and a + b <= n):

@@ -49,9 +49,6 @@ class Perm:
         """Image of the point ``i`` (1-based)."""
         return self.word[i - 1]
 
-    def __mul__(self, other: "Perm") -> "Perm":
-        return compose(self, other)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Perm) and self.word == other.word
 
@@ -320,15 +317,6 @@ def format_perm(p: Perm, notation: str = "one_line") -> str:
 # ---------------------------------------------------------------------------
 # patterns
 
-def reduce_word(word: Sequence[int]) -> Perm:
-    """Order-isomorphic permutation of a word of pairwise distinct integers."""
-    if len(set(word)) != len(word):
-        raise ValueError(f"entries must be pairwise distinct: {tuple(word)}")
-    if not word:
-        raise ValueError("empty word")
-    return Perm(_reduce_word(word))
-
-
 def pattern(p: Perm, index_set: Iterable[int]) -> Perm:
     """The pattern of ``p`` at the given set of 1-based positions."""
     idx = sorted(set(index_set))
@@ -362,17 +350,7 @@ def involves(tau: Perm, pi: Perm) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# sums, symmetries, parity, jumps
-
-def direct_sum(s: Perm, t: Perm) -> Perm:
-    m = s.degree
-    return Perm(s.word + tuple(v + m for v in t.word))
-
-
-def skew_sum(s: Perm, t: Perm) -> Perm:
-    n = t.degree
-    return Perm(tuple(v + n for v in s.word) + t.word)
-
+# symmetries, parity, jumps
 
 def reverse(p: Perm) -> Perm:
     """p composed with the reversal on positions: word read right to left."""
@@ -383,16 +361,6 @@ def complement(p: Perm) -> Perm:
     """Reversal composed with p: each value v replaced by n + 1 - v."""
     n = p.degree
     return Perm(tuple(n + 1 - v for v in p.word))
-
-
-def rc_conjugate(p: Perm) -> Perm:
-    """Conjugate by the descending permutation (reverse of the complement)."""
-    n = p.degree
-    return Perm(tuple(n + 1 - v for v in p.word[::-1]))
-
-
-def is_even(p: Perm) -> bool:
-    return _is_even_word(p.word)
 
 
 def parity(p: Perm) -> str:

@@ -12,7 +12,7 @@ import pytest
 import permpat as pp
 from permpat import partitions as parts
 from permpat.classify import _alternating_next_group
-from permpat.galois import PermSet, _comp_step
+from permpat.galois import PermSet, _comp_step, iter_levels
 from permpat.groups import PermGroup
 from permpat.perms import descending
 from permpat.verify import _all_partitions
@@ -22,6 +22,11 @@ LONG = os.environ.get("PERMPAT_LONG_TESTS") == "1"
 
 def _announce(num, name, t0):
     print(f"ACCEPTANCE {num} ({name}): PASS [{time.time() - t0:.1f}s]")
+
+
+def _levels(g, depth):
+    """The ``depth`` brute-force levels above ``g``, each checked to be a group."""
+    return [PermGroup.from_words(words, k) for k, words in iter_levels(g, depth)]
 
 
 def _words(*texts):
@@ -63,14 +68,14 @@ def test_criterion_3_alternating_two_levels():
     # of the reversal word (even exactly at n = 0, 1 mod 4)
     t0 = time.time()
     for n in range(4, 9):
-        levels = pp.comp_level_sequence(pp.alternating_group(n), 2)
+        levels = _levels(pp.alternating_group(n), 2)
         expected = pp.predict_level(pp.alternating_group(n), 2).exact
         assert levels[1] == expected, n
     # spot-check the residues hit the intended families
-    assert pp.comp_level_sequence(pp.alternating_group(4), 2)[1] == pp.descending_group(6)
-    assert pp.comp_level_sequence(pp.alternating_group(5), 2)[1] == pp.natural_dihedral_group(7)
-    assert pp.comp_level_sequence(pp.alternating_group(6), 2)[1] == pp.trivial_group(8)
-    assert pp.comp_level_sequence(pp.alternating_group(7), 2)[1] == pp.natural_cyclic_group(9)
+    assert _levels(pp.alternating_group(4), 2)[1] == pp.descending_group(6)
+    assert _levels(pp.alternating_group(5), 2)[1] == pp.natural_dihedral_group(7)
+    assert _levels(pp.alternating_group(6), 2)[1] == pp.trivial_group(8)
+    assert _levels(pp.alternating_group(7), 2)[1] == pp.natural_cyclic_group(9)
     _announce(3, "alternating two-level collapse", t0)
 
 
@@ -81,7 +86,7 @@ def test_criterion_4_young_subgroup_levels():
         for pi in _all_partitions(n):
             sp = pp.young_subgroup(pi)
             has_desc = descending(n).word in sp.word_set
-            levels = pp.comp_level_sequence(sp, 2)
+            levels = _levels(sp, 2)
             for i in (1, 2):
                 pi_i = parts.derive_iter(pi, i)
                 expected = (

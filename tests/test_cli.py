@@ -336,10 +336,18 @@ def test_module_entry_point():
 
 
 @pytest.mark.parametrize("depth", ["0", "-1"])
-@pytest.mark.parametrize("target", [["--group", "S:4"], ["--catalog", "3"]])
+@pytest.mark.parametrize(
+    "target",
+    [
+        ["verify", "--group", "S:4"],
+        ["verify", "--catalog", "3"],
+        ["classify", "--group", "S:4"],
+        ["levels", "--group", "S:4"],
+    ],
+)
 def test_verify_depth_below_one_is_a_usage_error(capsys, target, depth):
-    # no level would be compared, so nothing may pass
-    code, out, err = run_cli(capsys, "verify", *target, "--depth", depth)
+    # no level would be compared or predicted, so nothing may pass
+    code, out, err = run_cli(capsys, *target, "--depth", depth)
     assert code == 2 and out == ""
     assert "depth must be >= 1" in err
 

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import permpat as pp
-from permpat import Perm, PermSet
-from permpat.galois import _comp_step
+from permpat import Perm, PermGroup, PermSet
+from permpat.galois import _comp_step, iter_levels
 from permpat.perms import _delete_word
 
 
@@ -68,15 +68,11 @@ def test_comp_set_agrees_with_direct_definition():
             assert pp.comp_set(s, m).word_set == direct, (base, m)
 
 
-def test_gpat():
-    assert pp.gpat(pp.alternating_group(4), 3) == pp.symmetric_group(3)
-    assert pp.gpat(pp.descending_group(7), 4) == pp.descending_group(4)
-    assert pp.gpat(pp.natural_cyclic_group(6), 5) == pp.natural_cyclic_group(5)
-
-
 def test_gcomp_is_group():
-    assert pp.gcomp(pp.natural_cyclic_group(5), 6) == pp.natural_cyclic_group(6)
-    g = pp.gcomp(pp.alternating_group(5), 6)
+    # the compatibility set of a group is itself a group
+    c6 = pp.comp_set(pp.natural_cyclic_group(5), 6)
+    assert PermGroup.from_words(c6.word_set, 6) == pp.natural_cyclic_group(6)
+    g = PermGroup.from_words(pp.comp_set(pp.alternating_group(5), 6).word_set, 6)
     assert g.order == 36
     # the compatibility set of a group is closed: membership survives products
     sample = sorted(g.word_set)[:6]
@@ -86,19 +82,19 @@ def test_gcomp_is_group():
 
 
 def test_comp_level_sequence():
-    levels = pp.comp_level_sequence(pp.natural_cyclic_group(5), 3)
-    assert [g.order for g in levels] == [6, 7, 8]
-    assert levels == [pp.natural_cyclic_group(k) for k in (6, 7, 8)]
+    def levels(g, depth):
+        return [PermGroup.from_words(words, k) for k, words in iter_levels(g, depth)]
 
-    levels = pp.comp_level_sequence(pp.alternating_group(5), 2)
-    assert [g.order for g in levels] == [36, 14]
-    assert levels[1] == pp.natural_dihedral_group(7)
+    assert levels(pp.natural_cyclic_group(5), 3) == [pp.natural_cyclic_group(k) for k in (6, 7, 8)]
 
-    levels = pp.comp_level_sequence(pp.symmetric_group(4), 2)
-    assert levels == [pp.symmetric_group(5), pp.symmetric_group(6)]
+    a5 = levels(pp.alternating_group(5), 2)
+    assert [g.order for g in a5] == [36, 14]
+    assert a5[1] == pp.natural_dihedral_group(7)
+
+    assert levels(pp.symmetric_group(4), 2) == [pp.symmetric_group(5), pp.symmetric_group(6)]
 
     with pytest.raises(pp.CapExceeded, match="degree 17"):
-        pp.comp_level_sequence(pp.natural_cyclic_group(5), 12)
+        levels(pp.natural_cyclic_group(5), 12)
 
 
 def test_element_cap_is_keyword_only():
@@ -117,6 +113,22 @@ def test_galois_adjunction_on_groups():
     comp = pp.comp_set(s, 6)
     assert pp.pat_set(comp, 5).word_set <= s.word_set
     assert s.word_set <= pp.comp_set(pp.pat_set(s, 4), 5).word_set
+
+
+def test_comp_commutes_with_reverse_complement():
+    # Comp(dGd) = d Comp(G) d for the reversal d: the patterns of dwd are the
+    # conjugates of the patterns of w
+    def rc(words):
+        return {tuple(len(w) + 1 - v for v in reversed(w)) for w in words}
+
+    compared = 0
+    for n in (4, 5):
+        for g in pp.enumerate_subgroups(n):
+            flipped = PermSet(n, rc(g.word_set))
+            for (k, words), (_, image) in zip(iter_levels(g, 2), iter_levels(flipped, 2)):
+                assert image == rc(words), (sorted(g.generator_words), k)
+                compared += 1
+    assert compared == 2 * (30 + 156)
 
 
 # ---------------------------------------------------------------------------

@@ -150,7 +150,7 @@ def test_young_subgroups():
     assert y.orbits() == p
     rev = pp.young_with_reversal(p)
     assert rev.order == 8
-    assert rev.contains(pp.descending(5))
+    assert pp.descending(5).word in rev.word_set
 
 
 def _set_partitions(n):
@@ -217,12 +217,10 @@ def test_dihedral_interval():
 
 def test_membership_and_inclusion():
     a4 = pp.alternating_group(4)
-    assert not a4.contains(pp.parse_perm("2341"))
+    assert pp.parse_perm("2341").word not in a4.word_set
     assert pp.natural_cyclic_group(5).is_subgroup_of(pp.natural_dihedral_group(5))
     d3 = PermGroup.closure([pp.natural_cycle(3).word, pp.descending(3).word], 3)
     assert d3 == pp.symmetric_group(3)
-    with pytest.raises(ValueError):
-        a4.contains(pp.parse_perm("21"))
 
 
 def test_orbits():

@@ -1,8 +1,10 @@
 """Static checks over the library modules, standing in for a linter.
 
 Every module-level import of a module in ``src/permpat`` (``__init__.py``
-aside, which imports to re-export) is used in that module, and every
-module-level ``_private`` function is referenced somewhere in the package.
+aside, which imports to re-export) is used in that module, every
+module-level ``_private`` function is referenced somewhere in the package,
+and every public module-level function is referenced by another part of the
+library or named in ``PUBLIC_ENTRY_POINTS``.
 Imports sit at module level only and follow the layer order ``LAYERS``, and
 a ``PermGroup`` is constructed directly only where its element set is
 produced or checked by the closure, or is all of S_n.
@@ -29,6 +31,13 @@ DIRECT_CONSTRUCTORS = {
     "symmetric_group",
     "enumerate_subgroups",
 }
+
+
+#: Public module-level functions kept although nothing in the library
+#: references them, each with the reason it stays.  Only the library counts:
+#: the re-exports in ``__init__.py``, the tests and the benchmark's name
+#: strings do not keep a function alive.
+PUBLIC_ENTRY_POINTS: dict[str, str] = {}
 
 
 def _names_used(tree: ast.AST) -> set[str]:
@@ -80,6 +89,37 @@ def test_private_functions_are_referenced():
         and node.name not in used
     ]
     assert not unreferenced, f"private functions never referenced: {unreferenced}"
+
+
+def _references(tree: ast.Module) -> Iterator[tuple[str | None, str]]:
+    """Each name a module refers to (a ``Name``, an attribute or an imported
+    name), with the module-level function it sits in, or None."""
+    for top in tree.body:
+        owner = top.name if isinstance(top, ast.FunctionDef) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                yield owner, node.id
+            elif isinstance(node, ast.Attribute):
+                yield owner, node.attr
+            elif isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    yield owner, alias.name
+
+
+def test_public_functions_are_referenced():
+    trees = {p.stem: ast.parse(p.read_text()) for p in MODULES}
+    refs = {(m, owner, name) for m, tree in trees.items() for owner, name in _references(tree)}
+    unreferenced = [
+        f"{m}.{fn.name}"
+        for m, tree in trees.items()
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+        and not fn.name.startswith("_")
+        and f"{m}.{fn.name}" not in PUBLIC_ENTRY_POINTS
+        # a reference from inside the function's own def does not count
+        and not any(name == fn.name and (rm, owner) != (m, fn.name) for rm, owner, name in refs)
+    ]
+    assert not unreferenced, f"public functions never referenced in the library: {unreferenced}"
 
 
 def _functions(tree: ast.AST, prefix: str = "") -> Iterator[tuple[str, ast.AST]]:

@@ -30,8 +30,7 @@ def test_lattice_operations():
     split = pp.parse_partition("1,2|3")
     assert pp.meet(whole, split) == split
     assert pp.join(pp.parse_partition("1,2|3"), pp.parse_partition("1|2,3")) == whole
-    d4 = pp.delta_pairs(4)
-    assert d4 == pp.parse_partition("1,4|2,3")
+    d4 = pp.parse_partition("1,4|2,3")
     assert pp.refines(d4, d4)
     assert pp.refines(split, whole)
     assert not pp.refines(whole, split)
@@ -40,8 +39,6 @@ def test_lattice_operations():
 
 
 def test_named_partitions():
-    assert pp.delta_pairs(5) == pp.parse_partition("1,5|2,4|3")
-    assert pp.odd_even(4) == pp.parse_partition("1,3|2,4")
     assert pp.end_blocks(7, 2, 3) == pp.parse_partition("1,2|5,6,7|3|4")
     with pytest.raises(ValueError):
         pp.end_blocks(4, 3, 2)
@@ -53,7 +50,7 @@ def test_max_intervals():
     )
     interval = pp.parse_partition("1,2|3,4,5")
     assert pp.max_intervals(interval) == interval
-    assert pp.max_intervals(pp.odd_even(4)) == pp.parse_partition("1|2|3|4")
+    assert pp.max_intervals(pp.parse_partition("1,3|2,4")) == pp.parse_partition("1|2|3|4")
 
 
 def test_derive_worked_example():
@@ -82,7 +79,8 @@ def test_derive_iter():
 
 def test_reverse_partition():
     assert pp.reverse_partition(pp.parse_partition("1,2|3")) == pp.parse_partition("2,3|1")
-    assert pp.reverse_partition(pp.delta_pairs(6)) == pp.delta_pairs(6)
+    delta = pp.parse_partition("1,6|2,5|3,4")
+    assert pp.reverse_partition(delta) == delta
     assert pp.reverse_partition(pp.end_blocks(7, 2, 3)) == pp.parse_partition(
         "6,7|1,2,3|4|5"
     )

@@ -107,14 +107,6 @@ def test_parse_format_roundtrip(word):
 # ---------------------------------------------------------------------------
 # patterns
 
-def test_reduce_word():
-    assert pp.reduce_word((3, 7, 5)) == P("132")
-    assert pp.reduce_word(range(1, 6)) == pp.ascending(5)
-    assert pp.reduce_word((9, 4)) == P("21")
-    with pytest.raises(ValueError):
-        pp.reduce_word((3, 3))
-
-
 def test_pattern():
     assert pp.pattern(P("2341"), {1, 3}) == P("12")
     assert pp.pattern(P("1543276"), range(1, 8)) == P("1543276")
@@ -161,18 +153,10 @@ def test_all_patterns_agree_with_involves(word, length):
 
 
 # ---------------------------------------------------------------------------
-# sums, symmetries, parity
-
-def test_sums():
-    assert pp.direct_sum(P("21"), P("12")) == P("2134")
-    assert pp.skew_sum(P("12"), P("21")) == P("3421")
-    assert pp.direct_sum(P("1"), P("1")) == P("12")
-
+# symmetries, parity
 
 def test_symmetry():
     assert pp.reverse(P("123")) == P("321")
-    assert pp.rc_conjugate(pp.descending(6)) == pp.descending(6)
-    assert pp.rc_conjugate(P("2341")) == P("4123")
     d = pp.descending(4)
     assert pp.reverse(P("2341")) == pp.compose(P("2341"), d)
     assert pp.complement(P("2341")) == pp.compose(d, P("2341"))
@@ -185,13 +169,13 @@ def test_parity():
     # i.e. when n is 0 or 1 mod 4
     for n in range(1, 13):
         expected = n % 4 in (0, 1)
-        assert pp.is_even(pp.descending(n)) == expected, n
+        assert (pp.parity(pp.descending(n)) == "even") == expected, n
 
 
 @given(st.permutations(list(range(1, 7))), st.permutations(list(range(1, 7))))
 def test_parity_multiplicative(w1, w2):
     a, b = Perm(w1), Perm(w2)
-    assert pp.is_even(pp.compose(a, b)) == (pp.is_even(a) == pp.is_even(b))
+    assert (pp.parity(pp.compose(a, b)) == "even") == (pp.parity(a) == pp.parity(b))
 
 
 # ---------------------------------------------------------------------------
