@@ -1,16 +1,36 @@
+import dataclasses
+import itertools
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import permpat as pp
+from permpat import verify as verify_mod
 from permpat.cli import _build_parser, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(*argv):
+    """Run the interpreter in a child process that imports this checkout's
+    ``src`` first, installed or not."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def test_pat_group(capsys):
@@ -139,17 +159,14 @@ def test_cli_import_loads_no_process_pool():
         "print(sorted(m for m in sys.modules "
         "if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
-    ).stdout
-    assert out.strip() == "[]"
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_python_dash_m_runs_the_cli():
-    proc = subprocess.run(
-        [sys.executable, "-m", "permpat", "--format", "json", "levels", "--group", "S:3",
-         "--depth", "1"],
-        capture_output=True, text=True,
+    proc = run_python(
+        "-m", "permpat", "--format", "json", "levels", "--group", "S:3", "--depth", "1"
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["levels"] == [{"degree": 4, "size": 24, "family_match": True}]
@@ -252,6 +269,151 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert "failed: 1" in err
 
 
+def _verify_json(capsys, *argv):
+    code, out, err = run_cli(capsys, "--format", "json", "verify", *argv)
+    return code, {r["check_id"]: r for r in map(json.loads, out.splitlines())}, err
+
+
+def _predict_bounds(monkeypatch, **fields):
+    """Make every level prediction carry the given exact/lower/upper groups."""
+    real = verify_mod.predict_level
+
+    def wrong(g, i, **kwargs):
+        return dataclasses.replace(real(g, i, **kwargs), **fields)
+
+    monkeypatch.setattr(verify_mod, "predict_level", wrong)
+
+
+def _same_payload(actual, expected):
+    # key order is part of the output contract, so compare the JSON text
+    return json.dumps(actual) == json.dumps(expected)
+
+
+S5_FIRST_24 = ["".join(map(str, w)) for w in itertools.permutations(range(1, 6))][:24]
+
+
+@pytest.mark.parametrize(
+    "group, fields, counterexample",
+    [
+        # the level above T:3 is {1234}
+        (
+            "T:3",
+            {"exact": None, "lower": pp.descending_group(4), "upper": pp.symmetric_group(4)},
+            {"level": 1, "mode": "lower-bound",
+             "expected": {"size": 2, "members": ["1234", "4321"]},
+             "actual": {"size": 1, "members": ["1234"]}},
+        ),
+        # the level above Desc:3 is {1234, 4321}
+        (
+            "Desc:3",
+            {"exact": None, "lower": pp.trivial_group(4), "upper": pp.trivial_group(4)},
+            {"level": 1, "mode": "upper-bound",
+             "expected": {"size": 1, "members": ["1234"]},
+             "actual": {"size": 2, "members": ["1234", "4321"]}},
+        ),
+        # both bounds wrong: the lower bound is reported
+        (
+            "Desc:3",
+            {"exact": None, "lower": pp.natural_cyclic_group(4), "upper": pp.trivial_group(4)},
+            {"level": 1, "mode": "lower-bound",
+             "expected": {"size": 4, "members": ["1234", "2341", "3412", "4123"]},
+             "actual": {"size": 2, "members": ["1234", "4321"]}},
+        ),
+        # the level above S:4 is S_5, listed up to 24 words
+        (
+            "S:4",
+            {"exact": pp.trivial_group(5)},
+            {"level": 1, "mode": "exact",
+             "expected": {"size": 1, "members": ["12345"]},
+             "actual": {"size": 120, "members": S5_FIRST_24, "truncated": True}},
+        ),
+    ],
+)
+def test_verify_reports_a_wrong_level(capsys, monkeypatch, group, fields, counterexample):
+    _predict_bounds(monkeypatch, **fields)
+    code, reports, err = _verify_json(capsys, "--group", group, "--depth", "1")
+    assert code == 1 and "failed: 1" in err
+    assert reports["prediction"]["status"] == "fail"
+    assert _same_payload(reports["prediction"]["counterexample"], counterexample)
+    assert reports["onset"]["status"] == "pass"
+
+
+CYCLIC = {"family": "cyclic", "with_descending": False, "a": None, "b": None}
+
+
+def _onset_one_level_late(monkeypatch):
+    # eventual_onset walks bound + 1 levels, so on its own it never reports an
+    # onset past the bound; this walk reports each onset one level late
+    real = verify_mod.eventual_onset
+
+    def late(g, max_depth, **kwargs):
+        survivors, observed = real(g, max_depth, **kwargs)
+        return survivors, observed + 1
+
+    monkeypatch.setattr(verify_mod, "eventual_onset", late)
+
+
+@pytest.mark.parametrize(
+    "group, eventual, counterexample",
+    [
+        # A_5 reaches the dihedral family at level 2, not within a bound of 0
+        (
+            "A:5",
+            (pp.EventualFamily("cyclic", True), 0),
+            {"predicted_family": {**CYCLIC, "with_descending": True}, "onset_bound": 0,
+             "observed": None, "reason": "no family detected within the bound"},
+        ),
+        (
+            "C:5",
+            None,
+            {"predicted_family": CYCLIC, "onset_bound": 0,
+             "observed": 1, "reason": "observed onset exceeds the bound"},
+        ),
+        (
+            "C:5",
+            (pp.EventualFamily("symmetric"), 0),
+            {"predicted_family": {**CYCLIC, "family": "symmetric"},
+             "observed_families": [CYCLIC], "observed": 0, "reason": "family mismatch"},
+        ),
+    ],
+)
+def test_verify_reports_a_wrong_onset(capsys, monkeypatch, group, eventual, counterexample):
+    if eventual is None:
+        _onset_one_level_late(monkeypatch)
+    else:
+        monkeypatch.setattr(verify_mod, "predict_eventual", lambda g: eventual)
+    code, reports, err = _verify_json(capsys, "--group", group, "--depth", "1")
+    assert code == 1 and "failed: 1" in err
+    assert reports["onset"]["status"] == "fail"
+    assert _same_payload(reports["onset"]["counterexample"], counterexample)
+    assert reports["prediction"]["status"] == "pass"
+
+
+def test_verify_skips_levels_past_the_degree_limit(capsys):
+    # level 1 of T:15 has degree 16 and is compared; level 2 would have degree 17
+    code, reports, err = _verify_json(capsys, "--group", "T:15", "--depth", "2")
+    assert code == 0 and "skipped: 1" in err
+    assert reports["prediction"]["status"] == "skipped"
+    assert reports["prediction"]["counterexample"] == {
+        "reason": "level degree 17 exceeds the cap 16"
+    }
+    assert reports["onset"]["status"] == "pass"
+
+
+def test_verify_text_prints_the_counterexample(capsys, monkeypatch):
+    _predict_bounds(
+        monkeypatch, exact=None, lower=pp.descending_group(4), upper=pp.symmetric_group(4)
+    )
+    code, out, _ = run_cli(capsys, "verify", "--group", "T:3", "--depth", "1")
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL    prediction [gens:3: depth=1]",
+        '        {"level":1,"mode":"lower-bound","expected":{"size":2,"members":["1234","4321"]},'
+        '"actual":{"size":1,"members":["1234"]}}',
+        "PASS    onset [gens:3:]",
+    ]
+
+
 def test_levels(capsys):
     code, out, _ = run_cli(
         capsys, "--format", "json", "levels", "--group", "C:5", "--depth", "3"
@@ -277,6 +439,42 @@ def test_levels_descending(capsys):
     )
     payload = json.loads(out)
     assert [lv["size"] for lv in payload["levels"]] == [2, 2]
+
+
+def test_pat_and_comp_from_a_set(capsys):
+    code, out, _ = run_cli(
+        capsys, "--format", "json", "pat", "--set", "123;231", "--level", "2"
+    )
+    assert code == 0
+    assert json.loads(out) == {
+        "command": "pat",
+        "level": 2,
+        "source": {"degree": 3, "size": 2, "elements": ["123", "231"]},
+        "pat": {"degree": 2, "size": 2, "elements": ["12", "21"]},
+        "generated": {"degree": 2, "size": 2, "elements": ["12", "21"]},
+    }
+    # the level {1234, 2341} is not closed: 2341 squared is 3412
+    code, out, _ = run_cli(capsys, "--format", "json", "comp", "--set", "123;231", "--to", "4")
+    assert code == 0
+    assert '"is_group":false' in out
+    assert json.loads(out)["comp"]["elements"] == ["1234", "2341"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pat", "--set", ";", "--level", "2"],
+        ["comp", "--set", ";", "--to", "4"],
+        ["comp", "--set", "123;1234", "--to", "5"],
+        ["comp", "--group", "S:3", "--perm", "123", "--to", "4"],
+        ["pat", "--level", "2"],
+        ["verify", "--depth", "1"],
+    ],
+)
+def test_source_and_mode_errors_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
 
 
 def test_parse_error_exit_code(capsys):
@@ -324,13 +522,10 @@ def test_degree_past_the_limit_is_a_parse_error(capsys, descriptor):
 
 
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "permpat.cli", "--format", "json",
-         "pat", "--group", "D:5", "--level", "4"],
-        capture_output=True,
-        text=True,
+    proc = run_python(
+        "-m", "permpat.cli", "--format", "json", "pat", "--group", "D:5", "--level", "4"
     )
-    assert proc.returncode == 0
+    assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["generated"]["size"] == 8  # patterns generate one level down
 

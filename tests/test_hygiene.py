@@ -3,8 +3,8 @@
 Every module-level import of a module in ``src/permpat`` (``__init__.py``
 aside, which imports to re-export) is used in that module, every
 module-level ``_private`` function is referenced somewhere in the package,
-and every public module-level function is referenced by another part of the
-library or named in ``PUBLIC_ENTRY_POINTS``.
+and every public function, class, method and property is referenced by
+another part of the library or named in ``PUBLIC_ENTRY_POINTS``.
 Imports sit at module level only and follow the layer order ``LAYERS``, and
 a ``PermGroup`` is constructed directly only where its element set is
 produced or checked by the closure, or is all of S_n.
@@ -33,10 +33,11 @@ DIRECT_CONSTRUCTORS = {
 }
 
 
-#: Public module-level functions kept although nothing in the library
-#: references them, each with the reason it stays.  Only the library counts:
-#: the re-exports in ``__init__.py``, the tests and the benchmark's name
-#: strings do not keep a function alive.
+#: Public functions, classes, methods and properties (``module.name`` or
+#: ``module.Class.name``) kept although nothing in the library references
+#: them, each with the reason it stays.  Only the library counts: the
+#: re-exports in ``__init__.py``, the tests and the benchmark's name strings
+#: do not keep a name alive.
 PUBLIC_ENTRY_POINTS: dict[str, str] = {}
 
 
@@ -91,35 +92,52 @@ def test_private_functions_are_referenced():
     assert not unreferenced, f"private functions never referenced: {unreferenced}"
 
 
-def _references(tree: ast.Module) -> Iterator[tuple[str | None, str]]:
+def _references(
+    node: ast.AST, scope: tuple[str, ...] = ()
+) -> Iterator[tuple[tuple[str, ...], str]]:
     """Each name a module refers to (a ``Name``, an attribute or an imported
-    name), with the module-level function it sits in, or None."""
-    for top in tree.body:
-        owner = top.name if isinstance(top, ast.FunctionDef) else None
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name):
-                yield owner, node.id
-            elif isinstance(node, ast.Attribute):
-                yield owner, node.attr
-            elif isinstance(node, ast.ImportFrom):
-                for alias in node.names:
-                    yield owner, alias.name
+    name), with the chain of class and function definitions it sits in."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _references(child, scope + (child.name,))
+            continue
+        if isinstance(child, ast.Name):
+            yield scope, child.id
+        elif isinstance(child, ast.Attribute):
+            yield scope, child.attr
+        elif isinstance(child, ast.ImportFrom):
+            for alias in child.names:
+                yield scope, alias.name
+        yield from _references(child, scope)
 
 
-def test_public_functions_are_referenced():
+def _public_definitions(tree: ast.Module) -> Iterator[tuple[str, ...]]:
+    """Public module-level functions and classes, and the public non-dunder
+    methods and properties of those classes, as chains of names."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield (node.name,)
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield (node.name, item.name)
+
+
+def test_public_names_are_referenced():
     trees = {p.stem: ast.parse(p.read_text()) for p in MODULES}
-    refs = {(m, owner, name) for m, tree in trees.items() for owner, name in _references(tree)}
+    refs = [(m, scope, name) for m, tree in trees.items() for scope, name in _references(tree)]
     unreferenced = [
-        f"{m}.{fn.name}"
+        ".".join((m,) + chain)
         for m, tree in trees.items()
-        for fn in tree.body
-        if isinstance(fn, ast.FunctionDef)
-        and not fn.name.startswith("_")
-        and f"{m}.{fn.name}" not in PUBLIC_ENTRY_POINTS
-        # a reference from inside the function's own def does not count
-        and not any(name == fn.name and (rm, owner) != (m, fn.name) for rm, owner, name in refs)
+        for chain in _public_definitions(tree)
+        if ".".join((m,) + chain) not in PUBLIC_ENTRY_POINTS
+        # a reference from inside the definition itself does not count
+        and not any(
+            name == chain[-1] and (rm, scope[: len(chain)]) != (m, chain)
+            for rm, scope, name in refs
+        )
     ]
-    assert not unreferenced, f"public functions never referenced in the library: {unreferenced}"
+    assert not unreferenced, f"public names never referenced in the library: {unreferenced}"
 
 
 def _functions(tree: ast.AST, prefix: str = "") -> Iterator[tuple[str, ast.AST]]:
