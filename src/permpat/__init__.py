@@ -8,7 +8,6 @@ and the brute-force verifier (``verify``).
 """
 from .perms import (
     CapExceeded,
-    JumpPair,
     Perm,
     adjacent_pattern_quotient,
     ajd,
@@ -37,7 +36,6 @@ from .partitions import (
     end_blocks,
     format_partition,
     interwoven,
-    interwoven_ends,
     interwoven_generators,
     join,
     max_intervals,

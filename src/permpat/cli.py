@@ -73,10 +73,11 @@ def _load_source(args: argparse.Namespace) -> PermSet:
         raise ValueError("exactly one of --group, --perm, --set is required")
     if args.group:
         return parse_group(args.group, args.element_cap)
-    if args.perm:
-        return PermSet.from_perms([parse_perm(args.perm)])
-    words = [parse_perm(t) for t in args.permset.split(";") if t.strip()]
-    return PermSet.from_perms(words)
+    texts = [args.perm] if args.perm else [t for t in args.permset.split(";") if t.strip()]
+    perms = [parse_perm(t) for t in texts]
+    if not perms:
+        raise ValueError("cannot infer degree from an empty collection")
+    return PermSet(perms[0].degree, (p.word for p in perms))
 
 
 def _set_payload(degree: int, words) -> dict:

@@ -89,8 +89,8 @@ def _orbit_partition(n: int, gens: Sequence[Word]) -> Partition:
 class PermSet:
     """A set of same-degree permutations, held as one frozenset of words.
 
-    The set has no stored order: ``members`` and iteration sort on the way
-    out, so callers that print or choose deterministically see sorted words.
+    The set has no stored order: iteration sorts on the way out, so callers
+    that print or choose deterministically see sorted words.
     """
 
     __slots__ = ("degree", "word_set")
@@ -102,19 +102,8 @@ class PermSet:
             if len(w) != degree:
                 raise ValueError(f"member degree {len(w)} != {degree}")
 
-    @classmethod
-    def from_perms(cls, perms: Iterable[Perm]) -> "PermSet":
-        ps = list(perms)
-        if not ps:
-            raise ValueError("cannot infer degree from an empty collection")
-        return cls(ps[0].degree, (p.word for p in ps))
-
-    @property
-    def members(self) -> tuple[Perm, ...]:
-        return tuple(Perm(w) for w in sorted(self.word_set))
-
     def __iter__(self) -> Iterator[Perm]:
-        return iter(self.members)
+        return (Perm(w) for w in sorted(self.word_set))
 
     def __len__(self) -> int:
         return len(self.word_set)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .perms import Perm, ajd, dja, natural_cycle
 
@@ -231,17 +231,14 @@ def interwoven(p: Partition, a: int, b: int) -> bool:
     return False
 
 
-class InterwovenEnds(NamedTuple):
-    prefix: int | None   # l with 1 < l < n and [1,l] interwoven
-    suffix: int | None   # m with 1 < m < n and [m,n] interwoven
-    full: bool           # [1,n] interwoven
+def interwoven_generators(p: Partition) -> tuple[Perm, ...]:
+    """The degree-(n+1) permutations contributed by interwoven end intervals.
 
-
-def interwoven_ends(p: Partition) -> InterwovenEnds:
-    """Scan for interwoven prefix/suffix/full intervals.
-
-    Requires a partition with no trivial blocks; that makes each of the three
-    answers unique, because distinct interwoven intervals cannot overlap.
+    For a partition with no trivial blocks: a one-jump block-reversal for an
+    interwoven prefix [1,l] with l < n, its mirror for an interwoven suffix
+    [m,n] with m > 1, and the natural cycle when the whole line is
+    interwoven.  Without trivial blocks, distinct interwoven intervals cannot
+    overlap, so there is at most one prefix and one suffix.
     """
     if p.has_trivial_block():
         raise ValueError("interwoven-end scan requires a partition with no trivial blocks")
@@ -250,28 +247,8 @@ def interwoven_ends(p: Partition) -> InterwovenEnds:
     suffix = [m for m in range(2, n) if interwoven(p, m, n)]
     if len(prefix) > 1 or len(suffix) > 1:
         raise AssertionError(f"overlapping interwoven intervals in {p}")
-    return InterwovenEnds(
-        prefix[0] if prefix else None,
-        suffix[0] if suffix else None,
-        n >= 2 and interwoven(p, 1, n),
-    )
-
-
-def interwoven_generators(p: Partition) -> tuple[Perm, ...]:
-    """The degree-(n+1) permutations contributed by interwoven end intervals.
-
-    For a partition with no trivial blocks: a one-jump block-reversal for an
-    interwoven prefix [1,l], its mirror for an interwoven suffix [m,n], and
-    the natural cycle when the whole line is interwoven.
-    """
-    ends = interwoven_ends(p)
-    n = p.size
-    out: list[Perm] = []
-    if ends.prefix is not None:
-        out.append(dja(n + 1, ends.prefix))
-    if ends.suffix is not None:
-        out.append(ajd(n + 1, n - ends.suffix + 1))
-    if ends.full:
+    out = [dja(n + 1, l) for l in prefix] + [ajd(n + 1, n - m + 1) for m in suffix]
+    if n >= 2 and interwoven(p, 1, n):
         out.append(natural_cycle(n + 1))
     return tuple(sorted(out))
 

@@ -14,7 +14,7 @@ All values are immutable; all operations are pure.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 #: Hard cap on the degree of a single permutation.  One-line words above this
 #: size are outside the scope of every exhaustive routine in this package.
@@ -45,18 +45,11 @@ class Perm:
     def degree(self) -> int:
         return len(self.word)
 
-    def __call__(self, i: int) -> int:
-        """Image of the point ``i`` (1-based)."""
-        return self.word[i - 1]
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Perm) and self.word == other.word
 
     def __lt__(self, other: "Perm") -> bool:
         return self.word < other.word
-
-    def __le__(self, other: "Perm") -> bool:
-        return self.word <= other.word
 
     def __hash__(self) -> int:
         return hash(self.word)
@@ -69,13 +62,6 @@ class Perm:
 
     def __setattr__(self, name, value):
         raise AttributeError("Perm is immutable")
-
-
-class JumpPair(NamedTuple):
-    """A value pair (a, b) with a <= b - 2 realised at adjacent positions."""
-
-    a: int
-    b: int
 
 
 # ---------------------------------------------------------------------------
@@ -132,16 +118,6 @@ def _is_even_word(word: tuple[int, ...]) -> bool:
                 seen[j] = True
                 j = word[j] - 1
     return (n - cycles) % 2 == 0
-
-
-def _jumps_word(word: tuple[int, ...]) -> list[tuple[int, int]]:
-    out = []
-    for t in range(len(word) - 1):
-        x, y = word[t], word[t + 1]
-        a, b = (x, y) if x < y else (y, x)
-        if a <= b - 2:
-            out.append((a, b))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -368,13 +344,14 @@ def parity(p: Perm) -> str:
     return "even" if _is_even_word(p.word) else "odd"
 
 
-def jumps(p: Perm) -> tuple[JumpPair, ...]:
+def jumps(p: Perm) -> tuple[tuple[int, int], ...]:
     """All value pairs (a, b) with a <= b - 2 taken at adjacent positions.
 
     A pair qualifies when {p(t), p(t+1)} = {a, b} for some position t; the
     result is sorted and duplicate-free.
     """
-    return tuple(JumpPair(a, b) for a, b in sorted(set(_jumps_word(p.word))))
+    adjacent = {(min(x, y), max(x, y)) for x, y in zip(p.word, p.word[1:])}
+    return tuple(sorted((a, b) for a, b in adjacent if a <= b - 2))
 
 
 def adjacent_pattern_quotient(p: Perm, i: int) -> Perm:

@@ -108,29 +108,21 @@ def verify_prediction(
 
 def _compare_level(pred: Prediction, oracle: AbstractSet[Word], level: int) -> dict | None:
     if pred.exact is not None:
-        if pred.exact.word_set != oracle:
+        checks = [("exact", pred.exact.word_set, pred.exact.word_set == oracle)]
+    else:
+        assert pred.lower is not None and pred.upper is not None
+        checks = [
+            ("lower-bound", pred.lower.word_set, pred.lower.word_set <= oracle),
+            ("upper-bound", pred.upper.word_set, oracle <= pred.upper.word_set),
+        ]
+    for mode, expected, holds in checks:
+        if not holds:
             return {
                 "level": level,
-                "mode": "exact",
-                "expected": _words_payload(pred.exact.word_set),
+                "mode": mode,
+                "expected": _words_payload(expected),
                 "actual": _words_payload(oracle),
             }
-        return None
-    assert pred.lower is not None and pred.upper is not None
-    if not pred.lower.word_set <= oracle:
-        return {
-            "level": level,
-            "mode": "lower-bound",
-            "expected": _words_payload(pred.lower.word_set),
-            "actual": _words_payload(oracle),
-        }
-    if not oracle <= pred.upper.word_set:
-        return {
-            "level": level,
-            "mode": "upper-bound",
-            "expected": _words_payload(pred.upper.word_set),
-            "actual": _words_payload(oracle),
-        }
     return None
 
 
@@ -191,19 +183,14 @@ def _onset_report(g: PermGroup, *, element_cap: int) -> Report:
     def run() -> dict | None:
         fam, bound = predict_eventual(g)
         survivors, observed = eventual_onset(g, bound + 1, element_cap=element_cap)
-        if observed is None:
-            return {
-                "predicted_family": fam.to_json(),
-                "onset_bound": bound,
-                "observed": None,
-                "reason": "no family detected within the bound",
-            }
-        if observed > bound:
+        if observed is None or observed > bound:
             return {
                 "predicted_family": fam.to_json(),
                 "onset_bound": bound,
                 "observed": observed,
-                "reason": "observed onset exceeds the bound",
+                "reason": "no family detected within the bound"
+                if observed is None
+                else "observed onset exceeds the bound",
             }
         if fam not in survivors:
             return {

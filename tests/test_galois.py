@@ -15,8 +15,8 @@ def words(*texts):
 
 
 def test_pat_set():
-    assert pp.pat_set(PermSet.from_perms([pp.descending(7)]), 4).word_set == words("4321")
-    assert pp.pat_set(PermSet.from_perms([pp.natural_cycle(6)]), 3).word_set == words(
+    assert pp.pat_set(PermSet(7, [pp.descending(7).word]), 4).word_set == words("4321")
+    assert pp.pat_set(PermSet(6, [pp.natural_cycle(6).word]), 3).word_set == words(
         "123", "231"
     )
     d7 = pp.natural_dihedral_group(7)

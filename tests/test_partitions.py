@@ -98,15 +98,6 @@ def test_interwoven():
         pp.interwoven(p, 4, 2)
 
 
-def test_interwoven_ends():
-    ends = pp.interwoven_ends(pp.parse_partition("1,3|2,4|5,6"))
-    assert ends.prefix == 4 and ends.suffix is None and not ends.full
-    full = pp.interwoven_ends(pp.parse_partition("1,3,5|2,4,6"))
-    assert full.full and full.prefix is None and full.suffix is None
-    with pytest.raises(ValueError):
-        pp.interwoven_ends(pp.parse_partition("1|2,3"))
-
-
 def test_mu():
     assert pp.mu(WORKED) == 4
     singles = parts.Partition.from_blocks([(i,) for i in range(1, 6)])
