@@ -495,8 +495,12 @@ def enumerate_subgroups(n: int) -> list[PermGroup]:
     Seeds with the cyclic subgroups generated by prime-power-order elements
     and repeatedly extends by one such element, closing and deduplicating by
     exact element set.  Every subgroup is generated by its prime-power-order
-    elements, so the fixpoint is complete.  Deterministic output order:
-    ascending by (order, element list).
+    elements, so the fixpoint is complete.  A group H is closed with only the
+    first extender g of each double coset HgH, in extender order: for a, b in
+    H, <H, g> = <H, agb> (the double-coset pruning of subgroup-lattice
+    computation; Holt, Eick & O'Brien, Handbook of Computational Group
+    Theory, 2005), so a later extender in HgH could only find a group already
+    seen.  Deterministic output order: ascending by (order, element list).
     """
     if not 1 <= n <= MAX_SUBGROUP_DEGREE:
         raise ValueError(f"subgroup enumeration is capped at degree {MAX_SUBGROUP_DEGREE}")
@@ -529,8 +533,13 @@ def enumerate_subgroups(n: int) -> list[PermGroup]:
         elems, gens = queue.pop()
         if len(elems) == len(full) or elems == even_half:
             continue  # nothing above the top groups
+        base = list(elems)
+        covered = set(elems)
         for g in extenders:
-            if g not in elems:
+            if g not in covered:
+                # cover the double coset HgH: every b*g*a with a, b in H
+                for ga in (itemgetter(*(x - 1 for x in a))(g) for a in base):
+                    covered.update(map(itemgetter(*(x - 1 for x in ga)), base))
                 push(grow(elems, gens, g), gens + (g,))
     groups = [PermGroup(n, gens, elems) for elems, gens in seen.items()]
     groups.sort(key=lambda h: (h.order, sorted(h.word_set)))

@@ -183,14 +183,12 @@ def _onset_report(g: PermGroup, *, element_cap: int) -> Report:
     def run() -> dict | None:
         fam, bound = predict_eventual(g)
         survivors, observed = eventual_onset(g, bound + 1, element_cap=element_cap)
-        if observed is None or observed > bound:
+        if observed is None:  # the walk tests onset at levels 0..bound only
             return {
                 "predicted_family": fam.to_json(),
                 "onset_bound": bound,
-                "observed": observed,
-                "reason": "no family detected within the bound"
-                if observed is None
-                else "observed onset exceeds the bound",
+                "observed": None,
+                "reason": "no family detected within the bound",
             }
         if fam not in survivors:
             return {

@@ -1,13 +1,9 @@
 """Acceptance suite: exact-set reproduction of every headline claim, checked
 against the brute-force engine, one criterion per test.
 
-Each test prints a single PASS line (run pytest with -s to see them).  The
-degree-6 full-catalog sweep is long and runs only with PERMPAT_LONG_TESTS=1.
+Each test prints a single PASS line (run pytest with -s to see them).
 """
-import os
 import time
-
-import pytest
 
 import permpat as pp
 from permpat import partitions as parts
@@ -16,8 +12,6 @@ from permpat.galois import PermSet, _comp_step, iter_levels
 from permpat.groups import PermGroup
 from permpat.perms import descending
 from permpat.verify import _all_partitions
-
-LONG = os.environ.get("PERMPAT_LONG_TESTS") == "1"
 
 
 def _announce(num, name, t0):
@@ -181,11 +175,10 @@ def test_criterion_7_catalog_sweep():
     _announce(7, "subgroup catalog sweep (degrees 4-5)", t0)
 
 
-@pytest.mark.long
-@pytest.mark.skipif(not LONG, reason="set PERMPAT_LONG_TESTS=1 to run")
 def test_criterion_7_catalog_degree6():
     t0 = time.time()
     reports = pp.verify_catalog(6, depth=1)
+    assert len(reports) == 2 * 1455
     groups = {r.scope for r in reports if r.check_id == "prediction"}
     assert len(groups) == 1455
     bad = [r for r in reports if r.status != "pass"]

@@ -341,18 +341,6 @@ def test_verify_reports_a_wrong_level(capsys, monkeypatch, group, fields, counte
 CYCLIC = {"family": "cyclic", "with_descending": False, "a": None, "b": None}
 
 
-def _onset_one_level_late(monkeypatch):
-    # eventual_onset walks bound + 1 levels, so on its own it never reports an
-    # onset past the bound; this walk reports each onset one level late
-    real = verify_mod.eventual_onset
-
-    def late(g, max_depth, **kwargs):
-        survivors, observed = real(g, max_depth, **kwargs)
-        return survivors, observed + 1
-
-    monkeypatch.setattr(verify_mod, "eventual_onset", late)
-
-
 @pytest.mark.parametrize(
     "group, eventual, counterexample",
     [
@@ -365,12 +353,6 @@ def _onset_one_level_late(monkeypatch):
         ),
         (
             "C:5",
-            None,
-            {"predicted_family": CYCLIC, "onset_bound": 0,
-             "observed": 1, "reason": "observed onset exceeds the bound"},
-        ),
-        (
-            "C:5",
             (pp.EventualFamily("symmetric"), 0),
             {"predicted_family": {**CYCLIC, "family": "symmetric"},
              "observed_families": [CYCLIC], "observed": 0, "reason": "family mismatch"},
@@ -378,10 +360,7 @@ def _onset_one_level_late(monkeypatch):
     ],
 )
 def test_verify_reports_a_wrong_onset(capsys, monkeypatch, group, eventual, counterexample):
-    if eventual is None:
-        _onset_one_level_late(monkeypatch)
-    else:
-        monkeypatch.setattr(verify_mod, "predict_eventual", lambda g: eventual)
+    monkeypatch.setattr(verify_mod, "predict_eventual", lambda g: eventual)
     code, reports, err = _verify_json(capsys, "--group", group, "--depth", "1")
     assert code == 1 and "failed: 1" in err
     assert reports["onset"]["status"] == "fail"

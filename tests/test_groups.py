@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import permpat as pp
+from permpat import groups as groups_mod
 from permpat.galois import iter_levels
 from permpat.groups import DEFAULT_ELEMENT_CAP, PermGroup, PermSet, _generate
 from permpat.perms import _compose_words
@@ -417,6 +419,30 @@ def test_from_words_matches_reference_on_open_and_closed_sets(case):
 def test_enumerate_subgroups_matches_bfs_reference(n):
     ours = sorted((sorted(g.word_set), g.generator_words) for g in pp.enumerate_subgroups(n))
     assert ours == _bfs_subgroups(n)
+
+
+def test_enumerate_subgroups_degree6_digest():
+    # beyond the BFS reference's reach; generator tuples reach verify's stdout
+    # through describe_group, so they are pinned with the element sets
+    catalog = [(sorted(g.word_set), g.generator_words) for g in pp.enumerate_subgroups(6)]
+    assert len(catalog) == 1455
+    assert hashlib.sha256(repr(catalog).encode()).hexdigest() == (
+        "98646ce1dbd380b555b927a1b3e3279a368fa2b73892342ab388988d71778183"
+    )
+
+
+def test_enumerate_subgroups_closes_once_per_double_coset(monkeypatch):
+    # one closure per extender (8183 calls at degree 5) must fail this count
+    calls = []
+    real = groups_mod._extend
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(groups_mod, "_extend", counting)
+    assert len(pp.enumerate_subgroups(5)) == 156
+    assert len(calls) == 1638
 
 
 def _sympy_group(g):
