@@ -14,8 +14,8 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import partitions as parts
 from .groups import (
@@ -47,8 +47,7 @@ class ClassKind(enum.Enum):
     PRIMITIVE = "primitive"
 
 
-@dataclass(frozen=True)
-class EventualFamily:
+class EventualFamily(NamedTuple):
     """One of the families a compatibility sequence eventually follows."""
 
     kind: str  # "symmetric" | "cyclic" | "sab"
@@ -112,8 +111,7 @@ def _sab_family_group(degree: int, a: int, b: int, with_descending: bool) -> Per
     return young_with_reversal(pi) if with_descending else young_subgroup(pi)
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     """Classifier output for one level above the input group."""
 
     degree: int

@@ -23,7 +23,6 @@ from .perms import (
     CapExceeded,
     Perm,
     _check_degree,
-    _compose_words,
     _is_even_word,
     descending,
     format_perm,
@@ -63,9 +62,10 @@ def _extend(elems: set[Word], gens: list[Word], g: Word, element_cap: int) -> No
             )
 
     add_coset(g)
+    right = [itemgetter(*(x - 1 for x in s)) for s in gens]  # r -> r·s
     for r in reps:  # grows while it is scanned
-        for s in gens:
-            prod = _compose_words(r, s)
+        for times_s in right:
+            prod = times_s(r)
             if prod not in elems:
                 add_coset(prod)
 

@@ -6,22 +6,20 @@ element, so structural equality and hashing are canonical.  The text format is
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .perms import Perm, ajd, dja, natural_cycle
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple):
     size: int
     blocks: tuple[tuple[int, ...], ...]
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> "Partition":
-        norm = tuple(sorted((tuple(sorted(set(b))) for b in blocks), key=lambda b: b[0]))
-        if not norm or any(not b for b in norm):
+        # an empty block sorts first; disjoint blocks sort by their minimum
+        norm = tuple(sorted(tuple(sorted(b)) for b in blocks))
+        if not norm or not norm[0]:
             raise ValueError("blocks must be nonempty")
         flat = [x for b in norm for x in b]
         n = len(flat)
@@ -29,16 +27,13 @@ class Partition:
             raise ValueError(f"blocks must partition 1..n exactly once: {norm}")
         return cls(n, norm)
 
-    @cached_property
+    @property
     def block_index(self) -> dict[int, int]:
         """Map element -> index of its block in ``blocks``."""
         return {x: i for i, b in enumerate(self.blocks) for x in b}
 
     def block_of(self, x: int) -> tuple[int, ...]:
         return self.blocks[self.block_index[x]]
-
-    def same_block(self, x: int, y: int) -> bool:
-        return self.block_index[x] == self.block_index[y]
 
     def has_trivial_block(self) -> bool:
         return any(len(b) == 1 for b in self.blocks)
@@ -143,19 +138,14 @@ def max_intervals(p: Partition) -> Partition:
     """Coarsest interval partition refining ``p``: maximal runs of consecutive
     integers that lie in one block."""
     runs = []
-    start = 1
-    for x in range(2, p.size + 1):
-        if not p.same_block(x - 1, x):
-            runs.append(tuple(range(start, x)))
-            start = x
-    runs.append(tuple(range(start, p.size + 1)))
-    return Partition(p.size, tuple(runs))
-
-
-def _middle_interval_blocks(p: Partition) -> list[tuple[int, ...]]:
-    m = max_intervals(p)
-    first, last = m.block_of(1), m.block_of(p.size)
-    return [b for b in m.blocks if b is not first and b is not last]
+    for b in p.blocks:
+        start = 0
+        for i in range(1, len(b)):
+            if b[i] != b[i - 1] + 1:
+                runs.append(b[start:i])
+                start = i
+        runs.append(b[start:])
+    return Partition(p.size, tuple(sorted(runs)))
 
 
 def derive(p: Partition) -> Partition:
@@ -206,8 +196,9 @@ def is_interval_partition(p: Partition) -> bool:
 
 def has_consecutive_nontrivial_blocks(p: Partition) -> bool:
     """True iff some t has t-1 and t in distinct blocks that both have size >= 2."""
+    index = p.block_index
     for t in range(2, p.size + 1):
-        bi, bj = p.block_index[t - 1], p.block_index[t]
+        bi, bj = index[t - 1], index[t]
         if bi != bj and len(p.blocks[bi]) > 1 and len(p.blocks[bj]) > 1:
             return True
     return False
@@ -258,8 +249,7 @@ def interwoven_generators(p: Partition) -> tuple[Perm, ...]:
 
 def mu(p: Partition) -> int:
     """Largest size of a middle maximal-interval block (1 when there is none)."""
-    mids = _middle_interval_blocks(p)
-    return max([len(b) for b in mids] + [1])
+    return max((len(b) for b in max_intervals(p).blocks[1:-1]), default=1)
 
 
 def mu_ab(p: Partition, a: int, b: int) -> int:
@@ -267,5 +257,5 @@ def mu_ab(p: Partition, a: int, b: int) -> int:
     the length-b suffix."""
     if a < 1 or b < 1:
         raise ValueError("a and b must be >= 1")
-    m = max_intervals(p)
-    return max(mu(p), len(m.block_of(1)) - a + 1, len(m.block_of(p.size)) - b + 1)
+    runs = max_intervals(p).blocks
+    return max(mu(p), len(runs[0]) - a + 1, len(runs[-1]) - b + 1)

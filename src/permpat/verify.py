@@ -10,8 +10,7 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass
-from typing import AbstractSet, Callable, Iterable
+from typing import AbstractSet, Callable, Iterable, NamedTuple
 
 from . import perms as perms_mod
 from . import partitions as parts
@@ -40,8 +39,7 @@ from .perms import MAX_DEGREE, CapExceeded, Perm, ascending, descending, natural
 Word = tuple[int, ...]
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     check_id: str
     scope: str
     status: str  # "pass" | "fail" | "skipped"

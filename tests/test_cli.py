@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import os
@@ -154,10 +153,12 @@ def test_classify_honours_the_element_cap(capsys):
 
 
 def test_cli_import_loads_no_process_pool():
+    # every CLI call pays this import, so it stays free of process pools and,
+    # with the value types as NamedTuples, of dataclasses and inspect
     code = (
         "import sys, permpat.cli; "
-        "print(sorted(m for m in sys.modules "
-        "if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('multiprocessing', 'concurrent', 'dataclasses', 'inspect')))"
     )
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
@@ -279,7 +280,7 @@ def _predict_bounds(monkeypatch, **fields):
     real = verify_mod.predict_level
 
     def wrong(g, i, **kwargs):
-        return dataclasses.replace(real(g, i, **kwargs), **fields)
+        return real(g, i, **kwargs)._replace(**fields)
 
     monkeypatch.setattr(verify_mod, "predict_level", wrong)
 
@@ -460,6 +461,12 @@ def test_parse_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "classify", "--group", "Q:5")
     assert code == 2
     assert "error" in err
+
+
+def test_repeated_element_in_a_partition_is_a_parse_error(capsys):
+    code, out, err = run_cli(capsys, "classify", "--group", "SPi:1,1,2|3")
+    assert code == 2 and out == ""
+    assert "exactly once" in err
 
 
 def test_degree_zero_descriptors_are_parse_errors(capsys):

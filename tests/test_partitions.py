@@ -23,6 +23,10 @@ def test_parse_errors():
         pp.parse_partition("1,2||3")
     with pytest.raises(ValueError):
         pp.parse_partition("1,x|2")
+    with pytest.raises(ValueError, match="nonempty"):
+        pp.Partition.from_blocks([[1], []])
+    with pytest.raises(ValueError, match="exactly once"):
+        pp.Partition.from_blocks([[1, 1, 2], [3]])
 
 
 def test_lattice_operations():

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 import permpat as pp
@@ -29,7 +27,7 @@ def test_verify_prediction_fails_below_cap(monkeypatch):
     real = verify_mod.predict_level
 
     def wrong(g, i, **kwargs):
-        return dataclasses.replace(real(g, i, **kwargs), exact=pp.trivial_group(g.degree + i))
+        return real(g, i, **kwargs)._replace(exact=pp.trivial_group(g.degree + i))
 
     monkeypatch.setattr(verify_mod, "predict_level", wrong)
     report = pp.verify_prediction(pp.symmetric_group(4), 3, element_cap=200)
