@@ -67,9 +67,9 @@ from .groups import (
 from .galois import comp_set, pat_set
 from .classify import (
     ClassKind,
+    Classification,
     EventualFamily,
     Prediction,
-    classify_kind,
     predict_eventual,
     predict_level,
 )

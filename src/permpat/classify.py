@@ -4,10 +4,11 @@ Given a group of degree n, the classifier decides its structural class and
 produces the next level(s) of the compatibility sequence without brute force:
 exactly where a closed form exists, and as a (lower, upper) sandwich
 otherwise.  It also names the eventual family the sequence settles into and a
-bound on how many levels that takes.  Each class's family is stated once, in
-``_eventual``, and every settled level is that family's member at its degree:
-a class's own rule covers only the levels before it settles.  Everything here
-is verified against the brute-force engine by the verifier module.
+bound on how many levels that takes.  Each class is stated once, in one branch
+of ``Classification``: its kind, level rule, citation, family and bound.  Every
+settled level is the family's member at its degree: a class's own rule covers
+only the levels before it settles.  Everything here is verified against the
+brute-force engine by the verifier module.
 """
 from __future__ import annotations
 
@@ -31,7 +32,16 @@ from .groups import (
     young_subgroup,
     young_with_reversal,
 )
-from .perms import _is_even_word, ajd, descending, dja, natural_cycle, parse_perm
+from .perms import (
+    MAX_DEGREE,
+    CapExceeded,
+    _is_even_word,
+    ajd,
+    descending,
+    dja,
+    natural_cycle,
+    parse_perm,
+)
 
 Word = tuple[int, ...]
 
@@ -120,31 +130,6 @@ class Prediction(NamedTuple):
     upper: PermGroup | None
     eventual: EventualFamily
     citations: tuple[str, ...]
-
-
-# ---------------------------------------------------------------------------
-# classification
-
-def classify_kind(g: PermGroup) -> ClassKind:
-    """Dispatch tag; the first matching class in priority order wins."""
-    n = g.degree
-    if n < 2:
-        raise ValueError("classification needs degree >= 2")
-    if g.order == math.factorial(n):
-        return ClassKind.SYMMETRIC
-    if g.order == math.factorial(n) // 2 and all(_is_even_word(w) for w in g.word_set):
-        return ClassKind.ALTERNATING
-    if g.order == 1:
-        return ClassKind.TRIVIAL
-    if g.order == 2 and descending(n).word in g.word_set:
-        return ClassKind.DESC_ONLY
-    if natural_cycle(n).word in g.word_set:
-        return ClassKind.CONTAINS_NATURAL_CYCLE
-    if not g.is_transitive():
-        return ClassKind.INTRANSITIVE
-    if not g.is_primitive():
-        return ClassKind.IMPRIMITIVE
-    return ClassKind.PRIMITIVE
 
 
 # ---------------------------------------------------------------------------
@@ -320,12 +305,9 @@ def _value_imprimitive(g, i, element_cap):
             return _autpi_level(pi, i, element_cap), None, None, (cite,)
     a, b = g.largest_ab()
     lower = sab_group(n + i, a, b, element_cap)
-    upper_words = None
-    for pi in systems:
-        value = _autpi_level(pi, i, element_cap)
-        upper_words = (
-            value.word_set if upper_words is None else upper_words & value.word_set
-        )
+    upper_words = frozenset.intersection(
+        *(_autpi_level(pi, i, element_cap).word_set for pi in systems)
+    )
     upper = PermGroup.from_words(upper_words, n + i, element_cap)
     return None, lower, upper, ("comp-imprimitive-sandwich",)
 
@@ -356,90 +338,72 @@ def _value_primitive(g, i, element_cap):
     return level, None, None, ("comp-primitive-interval-dihedral",)
 
 
-_VALUE_DISPATCH = {
-    ClassKind.SYMMETRIC: _value_symmetric,
-    ClassKind.ALTERNATING: _value_alternating,
-    ClassKind.INTRANSITIVE: _value_intransitive,
-    ClassKind.IMPRIMITIVE: _value_imprimitive,
-    ClassKind.PRIMITIVE: _value_primitive,
-}
-
-# Citations of the levels the eventual family gives; the natural-cycle class
-# fills in its family's shape.
-_SETTLED_CITATION = {
-    ClassKind.ALTERNATING: "comp-alternating-collapse",
-    ClassKind.TRIVIAL: "comp-trivial-step",
-    ClassKind.DESC_ONLY: "comp-reversal-step",
-    ClassKind.CONTAINS_NATURAL_CYCLE: "comp-natural-cycle-{}",
-    ClassKind.PRIMITIVE: "comp-primitive-reversal-cap",
-}
-
-
-# ---------------------------------------------------------------------------
-# eventual families
-
-def _eventual(g: PermGroup, kind: ClassKind) -> tuple[EventualFamily, int]:
-    n = g.degree
-    has_desc = descending(n).word in g.word_set
-
-    if kind is ClassKind.SYMMETRIC:
-        return EventualFamily("symmetric"), 0
-    if kind is ClassKind.ALTERNATING:
-        # the second level collapses to the reversal group, the natural
-        # dihedral group, the trivial group or the natural cyclic group as
-        # n mod 4 = 0, 1, 2, 3: the reversal is even exactly when n mod 4 is 0
-        # or 1, and the natural cycle exactly when n is odd
-        fam = {
-            0: EventualFamily("sab", True, 1, 1),
-            1: EventualFamily("cyclic", True),
-            2: EventualFamily("sab", False, 1, 1),
-            3: EventualFamily("cyclic", False),
-        }[n % 4]
-        return fam, 2
-    if kind is ClassKind.TRIVIAL:
-        return EventualFamily("sab", False, 1, 1), 0
-    if kind is ClassKind.DESC_ONLY:
-        return EventualFamily("sab", True, 1, 1), 0
-    if kind is ClassKind.CONTAINS_NATURAL_CYCLE:
-        fam = EventualFamily("cyclic", has_desc)
-        return fam, 0 if fam.matches(g) else 1
-    a, b = g.largest_ab()
-    if kind is ClassKind.INTRANSITIVE:
-        bound = parts.mu_ab(g.orbits(), a, b)
-        return EventualFamily("sab", has_desc, a, b), bound
-    if kind is ClassKind.IMPRIMITIVE:
-        bound = min(
-            max(parts.mu_ab(pi, a, b), 2) for pi in g.block_systems()
-        )
-        return EventualFamily("sab", has_desc, a, b), bound
-    # primitive: settles by level 2 at the latest, by level 1 without a table hit
-    return EventualFamily("sab", has_desc, 1, 1), 1 if _primitive_row(g) is None else 2
-
-
 class Classification:
-    """The kind, eventual family and onset bound of one group, computed once
-    and shared by the predictions of all its levels."""
+    """The kind, level rule, eventual family and onset bound of one group,
+    computed once and shared by the predictions of all its levels."""
 
     def __init__(self, g: PermGroup, *, element_cap: int = DEFAULT_ELEMENT_CAP):
+        n = g.degree
+        if n < 2:
+            raise ValueError("classification needs degree >= 2")
         self.group = g
         self.element_cap = element_cap
-        self.kind = classify_kind(g)
-        self.eventual, self.onset_bound = _eventual(g, self.kind)
+        has_desc = descending(n).word in g.word_set
+        # The first matching class in priority order wins.  Each branch states
+        # the kind, its level rule (None: every level is the family member),
+        # the citation of the levels the family gives, the family and the bound.
+        if g.order == math.factorial(n):
+            kind, rule = ClassKind.SYMMETRIC, _value_symmetric
+            cite, family, bound = None, EventualFamily("symmetric"), 0
+        elif g.order == math.factorial(n) // 2 and all(_is_even_word(w) for w in g.word_set):
+            # the second level collapses to the reversal group, the natural
+            # dihedral group, the trivial group or the natural cyclic group as
+            # n mod 4 = 0, 1, 2, 3: A_n holds the reversal exactly when n mod 4
+            # is 0 or 1, and the natural cycle exactly when n is odd
+            kind, rule = ClassKind.ALTERNATING, _value_alternating
+            cite, bound = "comp-alternating-collapse", 2
+            cyclic = EventualFamily("cyclic", has_desc)
+            family = cyclic if n % 2 else EventualFamily("sab", has_desc, 1, 1)
+        elif g.order == 1:
+            kind, rule = ClassKind.TRIVIAL, None
+            cite, family, bound = "comp-trivial-step", EventualFamily("sab", False, 1, 1), 0
+        elif g.order == 2 and has_desc:
+            kind, rule = ClassKind.DESC_ONLY, None
+            cite, family, bound = "comp-reversal-step", EventualFamily("sab", True, 1, 1), 0
+        elif natural_cycle(n).word in g.word_set:
+            kind, rule = ClassKind.CONTAINS_NATURAL_CYCLE, None
+            cite = f"comp-natural-cycle-{'dihedral' if has_desc else 'cyclic'}"
+            family = EventualFamily("cyclic", has_desc)
+            bound = 0 if family.matches(g) else 1
+        elif not g.is_transitive():
+            kind, rule = ClassKind.INTRANSITIVE, _value_intransitive
+            cite, family = None, EventualFamily("sab", has_desc, *g.largest_ab())
+            bound = parts.mu_ab(g.orbits(), family.a, family.b)
+        elif systems := g.block_systems():
+            kind, rule = ClassKind.IMPRIMITIVE, _value_imprimitive
+            cite, family = None, EventualFamily("sab", has_desc, *g.largest_ab())
+            bound = min(max(parts.mu_ab(pi, family.a, family.b), 2) for pi in systems)
+        else:
+            kind, rule = ClassKind.PRIMITIVE, _value_primitive
+            cite, family = "comp-primitive-reversal-cap", EventualFamily("sab", has_desc, 1, 1)
+            # settles by level 2 at the latest, by level 1 without a table hit
+            bound = 1 if _primitive_row(g) is None else 2
+        self.kind, self.eventual, self.onset_bound = kind, family, bound
+        self._rule, self._settled_citation = rule, cite
 
     def level(self, i: int) -> Prediction:
         """Predict the compatibility level ``i`` steps above the group: by the
         class's own rule, or by the eventual family once the rule is past."""
         if i < 1:
             raise ValueError("level must be >= 1")
-        g = self.group
-        value = _VALUE_DISPATCH.get(self.kind)
-        found = value(g, i, self.element_cap) if value else None
+        m = self.group.degree + i
+        if m > MAX_DEGREE:
+            raise CapExceeded(f"level degree {m} exceeds the cap {MAX_DEGREE}")
+        found = self._rule(self.group, i, self.element_cap) if self._rule else None
         if found is None:
-            shape = "dihedral" if self.eventual.with_descending else "cyclic"
-            cite = _SETTLED_CITATION[self.kind].format(shape)
-            found = self.eventual.group_at(g.degree + i), None, None, (cite,)
+            found = self.eventual.group_at(m), None, None, (self._settled_citation,)
         exact, lower, upper, cites = found
-        return Prediction(g.degree + i, exact, lower, upper, self.eventual, cites)
+        return Prediction(m, exact, lower, upper, self.eventual, cites)
 
 
 # ---------------------------------------------------------------------------

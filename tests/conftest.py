@@ -1,6 +1,15 @@
+import pytest
 from hypothesis import settings
+
+import permpat as pp
 
 # every property test draws the same examples on every run; tests that set
 # their own max_examples keep it
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
+
+
+@pytest.fixture(scope="session")
+def degree6_catalog():
+    """Every subgroup of S_6, enumerated once per test session (about 4 s)."""
+    return tuple(pp.enumerate_subgroups(6))

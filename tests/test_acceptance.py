@@ -7,6 +7,7 @@ import time
 
 import permpat as pp
 from permpat import partitions as parts
+from permpat import verify as verify_mod
 from permpat.classify import _alternating_next_group
 from permpat.galois import PermSet, _comp_step, iter_levels
 from permpat.groups import PermGroup
@@ -175,7 +176,13 @@ def test_criterion_7_catalog_sweep():
     _announce(7, "subgroup catalog sweep (degrees 4-5)", t0)
 
 
-def test_criterion_7_catalog_degree6():
+def test_criterion_7_catalog_degree6(monkeypatch, degree6_catalog):
+    # the catalog is enumerated once per session; its digest is pinned in test_groups
+    def enumerate_subgroups(n):
+        assert n == 6
+        return list(degree6_catalog)
+
+    monkeypatch.setattr(verify_mod, "enumerate_subgroups", enumerate_subgroups)
     t0 = time.time()
     reports = pp.verify_catalog(6, depth=1)
     assert len(reports) == 2 * 1455

@@ -1,5 +1,7 @@
 import ast
+import hashlib
 import importlib
+import json
 from collections import Counter
 from pathlib import Path
 
@@ -7,8 +9,9 @@ import pytest
 
 import permpat as pp
 from permpat import ClassKind, PermGroup
-from permpat.classify import _alternating_next_group
+from permpat.classify import Classification, _alternating_next_group
 from permpat.galois import iter_levels
+from permpat.groups import describe_group
 
 
 def _oracle(g, m):
@@ -17,7 +20,7 @@ def _oracle(g, m):
 
 
 def kinds(text):
-    return pp.classify_kind(pp.parse_group(text))
+    return pp.Classification(pp.parse_group(text)).kind
 
 
 def test_classify_kind_dispatch():
@@ -34,12 +37,12 @@ def test_classify_kind_dispatch():
     assert kinds("S:3") is ClassKind.SYMMETRIC
     assert kinds("A:3") is ClassKind.ALTERNATING
     with pytest.raises(ValueError):
-        pp.classify_kind(pp.trivial_group(1))
+        pp.Classification(pp.trivial_group(1))
 
 
 def test_dispatch_total_on_degree4_catalog():
     for g in pp.enumerate_subgroups(4):
-        assert pp.classify_kind(g) in ClassKind
+        assert pp.Classification(g).kind in ClassKind
 
 
 def test_predict_symmetric_trivial_desc():
@@ -53,7 +56,7 @@ def test_predict_natural_cycle():
     assert pp.predict_level(pp.natural_dihedral_group(8), 1).exact == pp.natural_dihedral_group(9)
     assert pp.predict_level(pp.natural_cyclic_group(6), 1).exact == pp.natural_cyclic_group(7)
     f20 = pp.parse_group("gens:5:(1 2 3 4 5);(2 3 5 4)")
-    assert pp.classify_kind(f20) is ClassKind.CONTAINS_NATURAL_CYCLE
+    assert pp.Classification(f20).kind is ClassKind.CONTAINS_NATURAL_CYCLE
     assert pp.predict_level(f20, 1).exact == pp.natural_dihedral_group(6)
 
 
@@ -98,7 +101,7 @@ def test_predict_worked_partition_shape():
 def test_predict_young_with_reversal():
     # a reversal-symmetric interval partition whose middle blocks are split
     g = pp.parse_group("SPiDesc:1,2|3|4|5,6")
-    assert pp.classify_kind(g) is pp.ClassKind.INTRANSITIVE
+    assert pp.Classification(g).kind is pp.ClassKind.INTRANSITIVE
     pred = pp.predict_level(g, 1)
     assert pred.exact == _oracle(g, 7)
     assert pred.exact == pp.young_with_reversal(pp.parse_partition("1,2|3|4|5|6,7"))
@@ -155,7 +158,7 @@ def test_predict_primitive_fallthrough():
     # conjugates of the affine degree-5 group that avoid the natural cycle
     for gtext in ("gens:5:(1 3 2 4 5);(1 2 4 3)", "gens:5:(2 1 3 4 5);(1 2 4 3)"):
         g = pp.parse_group(gtext)
-        if pp.classify_kind(g) is not ClassKind.PRIMITIVE:
+        if pp.Classification(g).kind is not ClassKind.PRIMITIVE:
             continue
         pred = pp.predict_level(g, 1)
         assert pred.exact == _oracle(g, 6)
@@ -220,6 +223,42 @@ def test_classifier_tightness_on_catalogs_4_and_5():
     pred = pp.predict_level(g, 1)
     assert pred.exact is None and len(pred.lower) == 4
     assert pred.lower == pp.comp_set(g, 7)
+
+
+def _classification_digest(groups, depth):
+    """Per-kind counts, and the sha256 of every group's kind, eventual family,
+    onset bound and the citations of its first ``depth`` levels."""
+    rows = []
+    for g in groups:
+        c = Classification(g)
+        cites = [list(c.level(i).citations) for i in range(1, depth + 1)]
+        rows.append([describe_group(g), c.kind.value, c.eventual.to_json(), c.onset_bound, cites])
+    text = json.dumps(rows, separators=(",", ":"))
+    return dict(Counter(row[1] for row in rows)), hashlib.sha256(text.encode()).hexdigest()
+
+
+_ONE_EACH = {"symmetric": 1, "alternating": 1, "trivial": 1, "descending-only": 1}
+
+
+def test_classification_table_on_catalogs_4_and_5():
+    # guards the class dispatch: any change to a kind, family, bound or
+    # citation on these catalogs moves a digest
+    assert _classification_digest(pp.enumerate_subgroups(4), 2) == (
+        {"intransitive": 19, "imprimitive": 5, "contains-natural-cycle": 2, **_ONE_EACH},
+        "09d9052a2e362775273e01bf29fbf8d2e04b2ab3371889b4dc37e1c932f9468f",
+    )
+    assert _classification_digest(pp.enumerate_subgroups(5), 2) == (
+        {"intransitive": 134, "primitive": 15, "contains-natural-cycle": 3, **_ONE_EACH},
+        "b20ef30da67627b2e74201f9ef23f0214d1203f3a7ab368cb70df5712f9dcd39",
+    )
+
+
+def test_classification_table_on_catalog_6(degree6_catalog):
+    kinds = {"intransitive": 1174, "imprimitive": 258, "primitive": 11}
+    assert _classification_digest(degree6_catalog, 1) == (
+        {**kinds, "contains-natural-cycle": 8, **_ONE_EACH},
+        "ffce02cdc74b82cfe4d33a4e2f3596d3eb6a23852d4060f73f1c25771b95bed6",
+    )
 
 
 def test_alternating_formula_is_group():

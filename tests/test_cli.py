@@ -380,6 +380,20 @@ def test_verify_skips_levels_past_the_degree_limit(capsys):
     assert reports["onset"]["status"] == "pass"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("levels", "--group", "C:16", "--depth", "1"),
+        ("classify", "--group", "T:10", "--depth", "7"),
+    ],
+)
+def test_levels_past_the_degree_limit_are_a_cap(capsys, argv):
+    # the classifier refuses a level of degree 17 with the wording verify skips it with
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert "level degree 17 exceeds the cap 16" in err
+
+
 def test_verify_text_prints_the_counterexample(capsys, monkeypatch):
     _predict_bounds(
         monkeypatch, exact=None, lower=pp.descending_group(4), upper=pp.symmetric_group(4)

@@ -421,10 +421,10 @@ def test_enumerate_subgroups_matches_bfs_reference(n):
     assert ours == _bfs_subgroups(n)
 
 
-def test_enumerate_subgroups_degree6_digest():
+def test_enumerate_subgroups_degree6_digest(degree6_catalog):
     # beyond the BFS reference's reach; generator tuples reach verify's stdout
     # through describe_group, so they are pinned with the element sets
-    catalog = [(sorted(g.word_set), g.generator_words) for g in pp.enumerate_subgroups(6)]
+    catalog = [(sorted(g.word_set), g.generator_words) for g in degree6_catalog]
     assert len(catalog) == 1455
     assert hashlib.sha256(repr(catalog).encode()).hexdigest() == (
         "98646ce1dbd380b555b927a1b3e3279a368fa2b73892342ab388988d71778183"

@@ -1,7 +1,11 @@
+import json
+import random
+
 import pytest
 
 import permpat as pp
 from permpat import groups as groups_mod
+from permpat import partitions as parts
 from permpat import perms as perms_mod
 from permpat import verify as verify_mod
 from permpat.verify import _family_candidates
@@ -96,6 +100,46 @@ def test_tampered_compose_is_caught(monkeypatch):
     report = reports["law-product-containment"]
     assert report.status == "fail"
     assert report.counterexample is not None
+
+
+def _empty_comp(s, n, **kwargs):
+    return pp.PermSet(n, set())
+
+
+@pytest.mark.parametrize(
+    "module, name, tampered, check_id, counterexample",
+    [
+        # exhaustive permutations
+        (perms_mod, "parity", lambda p: "even", "law-parity-deletion", {"perm": "21"}),
+        # partitions
+        (parts, "is_interval_partition", lambda p: False, "law-derived-shape",
+         {"partition": "1", "derived": "1,2"}),
+        (parts, "mu", lambda p: 0, "law-measure-decrement", {"partition": "1", "mu": [0, 0]}),
+        # subgroup catalogs
+        (verify_mod, "young_subgroup", lambda p, *args: pp.trivial_group(p.size),
+         "law-orbit-minimality", {"group": "gens:3:(2 3)", "orbits": "1|2,3"}),
+        # Galois operators
+        (verify_mod, "comp_set", _empty_comp, "law-galois-adjunction",
+         {"kind": "closure", "l": 4, "n": 5}),
+        (verify_mod, "comp_set", _empty_comp, "law-descending-lift",
+         {"group": "gens:5:(1 5)(2 4)", "m": 6}),
+        (verify_mod, "comp_set", _empty_comp, "law-cyclic-dihedral-lift",
+         {"group": "gens:5:(1 2 3 4 5)", "family": "cyclic"}),
+        (verify_mod, "comp_set", _empty_comp, "law-comp-direct-agreement",
+         {"l": 2, "m": 4, "set": ["12", "21"]}),
+    ],
+)
+def test_tampered_library_fails_its_law_suite(
+    monkeypatch, module, name, tampered, check_id, counterexample
+):
+    # each suite runs alone, with the rng verify_laws seeds it with at seed 0
+    suites = {cid: (scope, fn) for cid, scope, fn in verify_mod._LAW_SUITES}
+    scope, suite = suites[check_id]
+    monkeypatch.setattr(module, name, tampered)
+    rng = random.Random(f"0:{check_id}")
+    report = verify_mod._run_check(check_id, scope, lambda: suite(rng))
+    assert report.status == "fail"
+    assert json.loads(json.dumps(report.counterexample)) == counterexample
 
 
 def test_eventual_onset():
