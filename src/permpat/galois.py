@@ -20,18 +20,18 @@ at once.  Each input word costs k table lookups, and only the survivors are
 built as tuples.  Peak work and memory are proportional to the level sizes,
 never to (k+1)!.
 
-The deletions of w are walked by value, c = k..1, on one copy of w: by the
-time c is deleted, every value above c has been lowered by one, so the copy
-without the position of c is the deletion of c from w, and each probe is two
-slices.  The survivors are built downward too, v = k+1..1: ``lift(w, k+1)``
-is w itself, and each next lift raises the entry holding v.
+Every deletion is one ``bytes.translate`` (``perms._deletion_tables``):
+deleting the value c from w is ``bytes(w).translate(table_c, gone_c)``, which
+drops c and lowers the values above it, and the table is keyed by those
+bytes.  The survivors are built downward, v = k+1..1: ``lift(w, k+1)`` is w
+itself, and each next lift raises the entry holding v.
 """
 from __future__ import annotations
 
 from typing import AbstractSet, Iterator
 
 from .groups import DEFAULT_ELEMENT_CAP, PermSet
-from .perms import MAX_DEGREE, CapExceeded, _delete_word, _pattern_words
+from .perms import MAX_DEGREE, CapExceeded, _deletion_tables, _pattern_words
 
 Word = tuple[int, ...]
 
@@ -50,35 +50,35 @@ def _comp_step(
 ) -> set[Word]:
     """One level up: all (k+1)-words whose single-point deletions all lie in ``words``.
 
-    ``ext[u]`` has bit v set iff ``lift(u, v) + (v,)`` is in ``words``.  For
-    each w, deleting the value c from the candidates above w is one lookup
-    of ``ext[delete(w, w.index(c))]``, widened to the k+1 values of v by
-    doubling bit c (see the module docstring); deleting the last point leaves
-    w itself.  The deletions run by value, c = k..1, each probe sliced from
-    one copy of w in which the values above c are already lowered; the
-    survivors are lifted downward from ``lift(w, k+1) == w``, one raised
-    entry per v.
+    ``ext[u]`` has bit v set iff ``lift(u, v) + (v,)`` is in ``words``, with
+    u the bytes of the (k-1)-word.  For each w, deleting the value c from the
+    candidates above w is one lookup of ``ext[bytes(w).translate(table_c,
+    gone_c)]``, widened to the k+1 values of v by doubling bit c (see the
+    module docstring); deleting the last point leaves w itself.  Every
+    deletion c = k..1 is probed until the mask empties; the survivors are
+    lifted downward from ``lift(w, k+1) == w``, one raised entry per v.
 
     Raises CapExceeded as soon as the level being built holds more than
     ``element_cap`` words.
     """
-    ext: dict[Word, int] = {}
+    tables, gones = _deletion_tables(k, k - 1)
+    ext: dict[bytes, int] = {}
     if k:  # at degree 0 there is no deletion to look up
         for x in words:
-            u = _delete_word(x, k - 1)
-            ext[u] = ext.get(u, 0) | 1 << x[-1]
+            c = x[-1]
+            u = bytes(x).translate(tables[c - 1], gones[c - 1])
+            ext[u] = ext.get(u, 0) | 1 << c
+    probes = [(c, tables[c - 1], gones[c - 1]) for c in range(k, 0, -1)]
     full = (1 << (k + 2)) - 2
     out: set[Word] = set()
     for w in words:
-        high = list(w)
+        b = bytes(w)
         mask = full
-        for c in range(k, 0, -1):
-            p = w.index(c)
-            m = ext.get((*high[:p], *high[p + 1:]), 0)
+        for c, table, gone in probes:
+            m = ext.get(b.translate(table, gone), 0)
             mask &= (m & ((2 << c) - 1)) | (m >> c << (c + 1))
             if not mask:
                 break
-            high[p] = c - 1
         else:
             if mask >> (k + 1) & 1:
                 out.add((*w, k + 1))

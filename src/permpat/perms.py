@@ -13,8 +13,9 @@ All values are immutable; all operations are pure.
 """
 from __future__ import annotations
 
+import functools
 import itertools
-from typing import Iterable, Sequence
+from typing import Iterable
 
 #: Hard cap on the degree of a single permutation.  One-line words above this
 #: size are outside the scope of every exhaustive routine in this package.
@@ -65,32 +66,54 @@ class Perm:
 
 
 # ---------------------------------------------------------------------------
-# raw-word helpers (hot paths work on plain tuples)
+# raw-word helpers (hot paths take plain tuples and delete points on bytes)
+#
+# Deleting a set D of values from a word and reducing what is left is one C
+# call, shared by the pattern kernel and the level step:
+# ``bytes(w).translate(table, gone)`` drops the values in
+# ``gone == bytes(sorted(D))`` and lowers every other value x by the number of
+# values of D below x.  Values are at most MAX_DEGREE, so every word fits in
+# bytes.
+
+def _deletion_table(gone: bytes) -> bytes:
+    """The translate table for ``gone``, which must be ascending."""
+    table = bytearray()
+    start = 0
+    for below, d in enumerate(gone):
+        table.extend(range(start - below, d + 1 - below))
+        start = d + 1
+    table.extend(range(start - len(gone), 256 - len(gone)))
+    return bytes(table)
+
+
+@functools.lru_cache(maxsize=None)
+def _deletion_tables(n: int, length: int) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
+    """``(tables, gones)``: for every set of n - length values from 1..n, in
+    ``itertools.combinations`` order, its bytes and its translate table.  So
+    with length n - 1, entry v - 1 deletes the value v.  Built on first use
+    and kept; empty when ``length`` exceeds n."""
+    if length > n:
+        return (), ()
+    gones = tuple(map(bytes, itertools.combinations(range(1, n + 1), n - length)))
+    return tuple(map(_deletion_table, gones)), gones
+
 
 def _delete_word(word: tuple[int, ...], i0: int) -> tuple[int, ...]:
     # pattern obtained by deleting 0-based position i0
+    tables, gones = _deletion_tables(len(word), len(word) - 1)
     v = word[i0]
-    return tuple(x - 1 if x > v else x for x in word[:i0] + word[i0 + 1:])
-
-
-def _reduce_word(word: Sequence[int]) -> tuple[int, ...]:
-    rank = {v: r for r, v in enumerate(sorted(word), start=1)}
-    return tuple(rank[v] for v in word)
+    return tuple(bytes(word).translate(tables[v - 1], gones[v - 1]))
 
 
 def _pattern_words(words: Iterable[tuple[int, ...]], length: int) -> set[tuple[int, ...]]:
-    """The length-``length`` patterns of all the words: one deletion per
-    position when a single point goes, else every position subset reduced.
-    Empty when ``length`` exceeds a word's length."""
-    out: set[tuple[int, ...]] = set()
+    """The length-``length`` patterns of all the words: one translate of each
+    word's bytes per set of values it can lose, the distinct patterns turned
+    into tuples once at the end.  Words shorter than ``length`` contribute
+    nothing."""
+    found: set[bytes] = set()
     for w in words:
-        n = len(w)
-        if length == n - 1:
-            out.update(_delete_word(w, i) for i in range(n))
-        else:
-            for combo in itertools.combinations(range(n), length):
-                out.add(_reduce_word([w[i] for i in combo]))
-    return out
+        found.update(map(bytes(w).translate, *_deletion_tables(len(w), length)))
+    return set(map(tuple, found))
 
 
 def _compose_words(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
@@ -295,12 +318,14 @@ def format_perm(p: Perm, notation: str = "one_line") -> str:
 
 def pattern(p: Perm, index_set: Iterable[int]) -> Perm:
     """The pattern of ``p`` at the given set of 1-based positions."""
-    idx = sorted(set(index_set))
+    keep = set(index_set)
+    idx = sorted(keep)
     if not idx:
         raise ValueError("index set must be nonempty")
     if idx[0] < 1 or idx[-1] > p.degree:
         raise ValueError(f"index out of range 1..{p.degree}: {idx}")
-    return Perm(_reduce_word([p.word[i - 1] for i in idx]))
+    gone = bytes(sorted(v for i, v in enumerate(p.word, 1) if i not in keep))
+    return Perm(bytes(p.word).translate(_deletion_table(gone), gone))
 
 
 def delete_point(p: Perm, i: int) -> Perm:

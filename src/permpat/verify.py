@@ -412,9 +412,17 @@ def _all_partitions(n: int) -> list[parts.Partition]:
 
 
 def _law_young_join(_: random.Random) -> dict | None:
+    """Each Young subgroup is every word mapping each block onto itself (an
+    exhaustive filter of S_n), and <S_p, S_q> = S_(p v q)."""
     for n in range(2, 6):
         all_parts = _all_partitions(n)
         young = {p: young_subgroup(p) for p in all_parts}
+        sym = list(itertools.permutations(range(1, n + 1)))
+        for p in all_parts:
+            label = p.block_index
+            fixing = {w for w in sym if all(label[w[x - 1]] == label[x] for x in label)}
+            if young[p].word_set != fixing:
+                return {"partition": str(p)}
         for p in all_parts:
             for q in all_parts:
                 joined = PermGroup.closure(young[p].generator_words + young[q].generator_words, n)

@@ -13,3 +13,9 @@ settings.load_profile("deterministic")
 def degree6_catalog():
     """Every subgroup of S_6, enumerated once per test session (about 4 s)."""
     return tuple(pp.enumerate_subgroups(6))
+
+
+@pytest.fixture(scope="session")
+def laws_seed0():
+    """One ``verify_laws(seed=0)`` run per test session (about 2 s)."""
+    return tuple(pp.verify_laws(seed=0))

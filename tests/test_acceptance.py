@@ -194,15 +194,13 @@ def test_criterion_7_catalog_degree6(monkeypatch, degree6_catalog):
     _announce(7, "subgroup catalog sweep (degree 6)", t0)
 
 
-def test_criterion_8_law_suites():
+def test_criterion_8_law_suites(laws_seed0):
     t0 = time.time()
-    reports = pp.verify_laws(seed=0)
-    bad = [r for r in reports if r.status != "pass"]
+    bad = [r for r in laws_seed0 if r.status != "pass"]
     assert not bad, bad[:3]
-    again = pp.verify_laws(seed=0)
-    assert [(r.check_id, r.status) for r in reports] == [
-        (r.check_id, r.status) for r in again
-    ]
+    # a fresh run of the same seed reports the same results
+    strip = lambda rs: [(r.check_id, r.scope, r.status, r.counterexample) for r in rs]
+    assert strip(laws_seed0) == strip(pp.verify_laws(seed=0))
     assert time.time() - t0 < 300.0
     _announce(8, "structural law suites", t0)
 

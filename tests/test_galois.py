@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 import permpat as pp
 from permpat import Perm, PermGroup, PermSet
 from permpat.galois import _comp_step, iter_levels
-from permpat.perms import _delete_word
 
 
 def words(*texts):
@@ -135,13 +135,15 @@ def test_comp_commutes_with_reverse_complement():
 # the level step against the plain candidate-by-candidate reference
 
 def _comp_step_reference(words, k):
-    """Every lift(w, v) + (v,) whose first k single-point deletions lie in ``words``."""
+    """Every lift(w, v) + (v,) whose first k single-point deletions lie in
+    ``words``, each deletion written out literally."""
     out = set()
     for w in words:
         for v in range(1, k + 2):
             cand = tuple(x if x < v else x + 1 for x in w) + (v,)
             for i in range(k):
-                if _delete_word(cand, i) not in words:
+                c = cand[i]
+                if tuple(x - (x > c) for x in cand if x != c) not in words:
                     break
             else:
                 out.add(cand)
@@ -176,6 +178,22 @@ def test_comp_step_edge_sets():
     assert _comp_step({(1,)}, 1) == {(1, 2), (2, 1)}
     assert _comp_step({(1, 2)}, 2) == {(1, 2, 3)}
     assert _comp_step({(2, 1)}, 2) == {(3, 2, 1)}
+
+
+def test_comp_step_at_the_degree_limit():
+    # k = 15 builds degree-16 words, the permutation degree limit: a sparse
+    # seeded set holding the descending word, random words, and every
+    # deletion of three random degree-16 words, which must then survive
+    rng = random.Random(15)
+    k = 15
+    tops = [tuple(rng.sample(range(1, k + 2), k + 1)) for _ in range(3)]
+    words = {tuple(range(k, 0, -1))}
+    words.update(tuple(rng.sample(range(1, k + 1), k)) for _ in range(10))
+    for top in tops:
+        words.update(tuple(x - (x > c) for x in top if x != c) for c in top)
+    step = _comp_step(words, k)
+    assert step == _comp_step_reference(words, k)
+    assert {tuple(range(k + 1, 0, -1)), *tops} <= step
 
 
 def _family_descriptor(family, n):

@@ -1,10 +1,12 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 import permpat as pp
 from permpat import Perm
+from permpat.perms import MAX_DEGREE, _delete_word, _pattern_words
 
 
 def P(text, degree=None):
@@ -257,3 +259,25 @@ def test_pat_set_of_many_words_is_the_union_of_their_patterns(n):
         for k in range(1, n + 1):
             expected = set().union(*(_reference_patterns(w, k) for w in chunk))
             assert pp.pat_set(pp.PermSet(n, chunk), k).word_set == expected, (chunk, k)
+
+
+def test_deletion_kernel_at_the_degree_limit():
+    # the translate tables hold for every degree up to MAX_DEGREE, not only
+    # for the small degrees the exhaustive tests above reach
+    rng = random.Random(16)
+    for n in range(14, MAX_DEGREE + 1):
+        for _ in range(4):
+            word = tuple(rng.sample(range(1, n + 1), n))
+            for i, c in enumerate(word):
+                literal = tuple(x - (x > c) for x in word if x != c)
+                assert _delete_word(word, i) == literal, (word, i)
+            for length in (1, 2, n - 1, n):
+                assert _pattern_words([word], length) == _reference_patterns(word, length)
+                positions = sorted(rng.sample(range(1, n + 1), length))
+                expected = _rank_by_sorting([word[i - 1] for i in positions])
+                assert pp.pattern(Perm(word), positions).word == expected, (word, positions)
+    # words shorter than the pattern length contribute nothing
+    mixed = [tuple(rng.sample(range(1, k + 1), k)) for k in (3, 9, 15, 16)]
+    for length in (4, 10, 16):
+        expected = set().union(*(_reference_patterns(w, length) for w in mixed))
+        assert _pattern_words(mixed, length) == expected, length
