@@ -126,9 +126,10 @@ def _cmd_comp(args: argparse.Namespace) -> int:
     source = _load_source(args)
     result = comp_set(source, args.target, element_cap=args.element_cap)
     try:
-        PermGroup.from_words(result.word_set, result.degree, args.element_cap)
+        # a closure larger than the level cannot equal it
+        PermGroup.from_words(result.word_set, result.degree, len(result))
         is_group = True
-    except ValueError:
+    except (ValueError, CapExceeded):
         is_group = False
     obj = {
         "command": "comp",

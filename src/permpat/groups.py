@@ -90,7 +90,8 @@ class PermSet:
     """A set of same-degree permutations, held as one frozenset of words.
 
     The set has no stored order: iteration sorts on the way out, so callers
-    that print or choose deterministically see sorted words.
+    that print or choose deterministically see sorted words.  A frozenset
+    passed in is kept as it is, not copied (``frozenset(fs) is fs``).
     """
 
     __slots__ = ("degree", "word_set")

@@ -95,6 +95,22 @@ def test_comp_level_size_cap(capsys):
     assert code == 3
     assert out == ""
     assert "degree 7" in err and "1000" in err
+    assert "(5040 words)" in err  # the full level size, counted before it is built
+
+
+@pytest.mark.parametrize(
+    "cap_args, target, size",
+    [((), "10", 89), (("--element-cap", "1000"), "7", 21)],
+)
+def test_comp_of_a_set_whose_closure_passes_the_cap_is_no_group(capsys, cap_args, target, size):
+    # the closure of these levels' words is far larger than the level and
+    # than the element cap; a closure past the level's size cannot equal it
+    code, out, err = run_cli(
+        capsys, *cap_args, "--format", "json", "comp", "--set", "123;132;213", "--to", target
+    )
+    assert code == 0, err
+    assert '"is_group":false' in out
+    assert json.loads(out)["comp"]["size"] == size
 
 
 def test_verify_level_size_cap(capsys):
@@ -153,12 +169,13 @@ def test_classify_honours_the_element_cap(capsys):
 
 
 def test_cli_import_loads_no_process_pool():
-    # every CLI call pays this import, so it stays free of process pools and,
-    # with the value types as NamedTuples, of dataclasses and inspect
+    # every CLI call pays this import, so it stays free of process pools,
+    # of numpy and, with the value types as NamedTuples, of dataclasses and
+    # inspect
     code = (
         "import sys, permpat.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] in "
-        "('multiprocessing', 'concurrent', 'dataclasses', 'inspect')))"
+        "('multiprocessing', 'concurrent', 'dataclasses', 'inspect', 'numpy')))"
     )
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import permpat as pp
-from permpat import Perm, PermGroup, PermSet
+from permpat import Perm, PermGroup, PermSet, galois
 from permpat.galois import _comp_step, iter_levels
 
 
@@ -218,6 +218,40 @@ def test_comp_step_matches_reference_on_group_levels(family):
             step = _comp_step(words, k)
             assert step == _comp_step_reference(words, k), (family, n, k)
             words = step
+
+
+def test_comp_step_level_is_one_frozenset_shared_downstream(monkeypatch):
+    # the level is built once: from_words and comp_set keep that very set
+    level = _comp_step(pp.symmetric_group(4).word_set, 4)
+    assert type(level) is frozenset and len(level) == 120
+    assert PermGroup.from_words(level, 5).word_set is level
+    built = []
+
+    def recording_step(*args):
+        built.append(_comp_step(*args))
+        return built[-1]
+
+    monkeypatch.setattr(galois, "_comp_step", recording_step)
+    top = pp.comp_set(pp.alternating_group(5), 7)
+    assert len(built) == 2 and top.word_set is built[-1]
+
+
+def test_comp_step_checks_the_cap_before_building_a_word(monkeypatch):
+    # the level's size is read off the masks, so the cap is checked on the
+    # full size with no survivor built: building one would fail here
+    s6 = pp.symmetric_group(6).word_set
+
+    def no_building(*args):
+        raise AssertionError("a word was built past the cap")
+
+    with monkeypatch.context() as m:
+        m.setattr(galois, "itemgetter", no_building)
+        with pytest.raises(
+            pp.CapExceeded,
+            match=r"level degree 7 exceeded the element cap of 5039 \(5040 words\)",
+        ):
+            _comp_step(s6, 6, element_cap=5039)
+    assert len(_comp_step(s6, 6, element_cap=5040)) == 5040
 
 
 def test_comp_step_cap_names_the_level_being_built():
