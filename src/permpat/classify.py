@@ -355,7 +355,7 @@ class Classification:
         if g.order == math.factorial(n):
             kind, rule = ClassKind.SYMMETRIC, _value_symmetric
             cite, family, bound = None, EventualFamily("symmetric"), 0
-        elif g.order == math.factorial(n) // 2 and all(_is_even_word(w) for w in g.word_set):
+        elif g.order == math.factorial(n) // 2 and all(_is_even_word(w) for w in g.generator_words):
             # the second level collapses to the reversal group, the natural
             # dihedral group, the trivial group or the natural cyclic group as
             # n mod 4 = 0, 1, 2, 3: A_n holds the reversal exactly when n mod 4

@@ -8,7 +8,11 @@ deterministic choice.  Closures grow one generator at a time by coset
 (Dimino's algorithm) and are guarded by an element cap; exceeding the cap is
 a hard error, never silent truncation.  Every named group but the symmetric
 group is the closure of the generators it states, and a group built from
-written-out words is checked by ``PermGroup.from_words``.
+written-out words is checked by ``PermGroup.from_words``.  That check never
+builds the extension that would equal the set: when the set is m times the
+closure so far, with m at most the degree, a walk over coset
+representatives that stores no elements shows that the next word adds
+exactly m cosets, and each coset is then looked up in the set.
 """
 from __future__ import annotations
 
@@ -23,6 +27,7 @@ from .perms import (
     CapExceeded,
     Perm,
     _check_degree,
+    _inverse_word,
     _is_even_word,
     descending,
     format_perm,
@@ -68,6 +73,37 @@ def _extend(elems: set[Word], gens: list[Word], g: Word, element_cap: int) -> No
             prod = times_s(r)
             if prod not in elems:
                 add_coset(prod)
+
+
+def _closes_to(wset: frozenset[Word], elems: set[Word], gens: list[Word], g: Word, m: int) -> bool:
+    """Whether <gens, g> is the set ``wset`` of m |elems| words, where
+    ``elems`` is the group H = <gens>, without building <gens, g>.
+
+    Dimino's coset walk of ``_extend`` with only the representatives kept: a
+    product p lies in the coset H r when p r^-1 is in H.  The walk gives up
+    past m cosets; with exactly m, the cosets (H itself included) are m
+    disjoint sets of |H| words, so they are ``wset`` when each lies inside it.
+    """
+    def times(s: Word) -> itemgetter:  # r -> r·s
+        return itemgetter(*(x - 1 for x in s))
+
+    reps = [g]
+    over = [times(_inverse_word(g))]  # p -> p·g^-1
+    right = [times(s) for s in gens + [g]]
+    for r in reps:  # grows while it is scanned
+        for times_s in right:
+            prod = times_s(r)
+            if prod in elems or any(div(prod) in elems for div in over):
+                continue
+            if len(reps) + 1 == m:
+                return False
+            reps.append(prod)
+            over.append(times(_inverse_word(prod)))
+    return (
+        len(reps) + 1 == m
+        and wset.issuperset(elems)
+        and all(wset.issuperset(map(times(r), elems)) for r in reps)
+    )
 
 
 def _generate(gens: Iterable[Word], n: int, element_cap: int) -> tuple[set[Word], list[Word]]:
@@ -163,9 +199,28 @@ class PermGroup(PermSet):
         generators must reproduce the set exactly.  The sorted order is
         produced lazily from a heap, and the walk stops at the first
         extension whose closure equals the set, since no later word could
-        extend it; a set that is not a group walks every word.
+        extend it; a set that is not a group walks every word.  Each word
+        the walk extends by must have the set's degree, so a member of
+        another degree, never in the closure, is refused when reached.
+
+        The extension that would equal the set is never built.  Before
+        extending the closure H by the next word g, with m = |W| / |H| a
+        whole number, 1 < m <= degree, m (k + 1) < |H| for the k generators so
+        far and |W| within the cap, ``_closes_to`` walks the cosets of H in
+        <H, g> without storing them; exactly m cosets, each inside W, make
+        <H, g> = W, and g is the last generator.  Otherwise ``_extend`` runs
+        as before, so the generators, errors and caps are those of the full
+        walk.  The bound m <= degree misses no closing extension: let j be
+        the number of leading points g fixes.  Every word before g fixes
+        1..j, and every word of W fixing 1..j+1 comes before g, so if W is a
+        group then W_{j+1} <= H and <H, g> <= W_j (W_i the pointwise
+        stabilizer of 1..i), and an extension <H, g> = W has index at most
+        [W_j : W_{j+1}], the orbit of j+1 under W_j, at most n - j.  The
+        bound m (k + 1) < |H| keeps the walk off small groups, where
+        building one coset costs less than walking them.
         """
         wset = frozenset(words)
+        size = len(wset)
         heap = list(wset)
         heapq.heapify(heap)
         closed = {_identity_word(degree)}
@@ -173,13 +228,25 @@ class PermGroup(PermSet):
         while heap:
             g = heapq.heappop(heap)
             if g not in closed:
+                if len(g) != degree:
+                    raise ValueError(f"member degree {len(g)} != {degree}")
+                m, rest = divmod(size, len(closed))
+                if (
+                    not rest
+                    and 1 < m <= degree
+                    and m * (len(gens) + 1) < len(closed)
+                    and size <= element_cap
+                    and _closes_to(wset, closed, gens, g, m)
+                ):
+                    gens.append(g)
+                    break
                 _extend(closed, gens, g, element_cap)
-                if len(closed) == len(wset) and closed == wset:
+                if len(closed) == size and closed == wset:
                     break
         else:
             if closed != wset:
                 raise ValueError(
-                    f"element set of size {len(wset)} is not closed "
+                    f"element set of size {size} is not closed "
                     f"(closure has {len(closed)} elements)"
                 )
         return cls(degree, gens, wset)

@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import math
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -131,6 +133,12 @@ def test_from_words_rejects_non_groups():
         PermGroup.from_words({(2, 3, 1)}, 3)
     g = PermGroup.from_words({(1, 2, 3), (2, 3, 1), (3, 1, 2)}, 3)
     assert g.order == 3
+
+
+@pytest.mark.parametrize("words", [{(1, 2, 3), (2, 1, 3), (2, 1)}, {(1, 2), (2, 1)}])
+def test_from_words_refuses_a_member_of_another_degree(words):
+    with pytest.raises(ValueError, match=r"^member degree 2 != 3$"):
+        PermGroup.from_words(words, 3)
 
 
 def test_named_groups():
@@ -404,6 +412,82 @@ def test_from_words_does_not_stop_on_a_closure_of_the_same_size():
         PermGroup.from_words(wset, 4)
     assert str(exc.value) == message
     _assert_from_words_matches_reference(wset, 4)
+
+
+def _spy_on_closure(monkeypatch):
+    """Record each certificate walk as (m, verdict) and each word _extend closes by."""
+    walks, extended = [], []
+    real_walk, real_extend = groups_mod._closes_to, groups_mod._extend
+
+    def walk(wset, elems, gens, g, m):
+        verdict = real_walk(wset, elems, gens, g, m)
+        walks.append((m, verdict))
+        return verdict
+
+    def extend(elems, gens, g, element_cap):
+        extended.append(g)
+        return real_extend(elems, gens, g, element_cap)
+
+    monkeypatch.setattr(groups_mod, "_closes_to", walk)
+    monkeypatch.setattr(groups_mod, "_extend", extend)
+    return walks, extended
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_from_words_never_builds_the_extension_that_closes_a_symmetric_level(n, monkeypatch):
+    # the level above S_{n-1} is S_n; its last generator 2134...n extends the
+    # stabilizer of 1 by index n, the degree, and is checked by the coset walk
+    level = frozenset(itertools.permutations(range(1, n + 1)))
+    walks, extended = _spy_on_closure(monkeypatch)
+    g = PermGroup.from_words(level, n)
+    assert g.generator_words[-1] == (2, 1) + tuple(range(3, n + 1))
+    assert walks == [(n, True)]
+    assert extended == list(g.generator_words[:-1])
+    assert g.generator_words == _from_words_reference(level, n).generator_words
+
+
+def _stabilizer_of_one(n):
+    return frozenset((1,) + w for w in itertools.permutations(range(2, n + 1)))
+
+
+@pytest.mark.parametrize("case", ["coset", "subgroup", "index"])
+def test_from_words_coset_walk_on_sets_that_are_no_groups(case, monkeypatch):
+    # G, the stabilizer of 1, is reached from H = the stabilizer of 1 and 2 by
+    # g = 1324...n; each set W has |W| = m |H| with m <= n, so the walk runs,
+    # but W is no group: a coset of H leaves W, H itself does, or <H, g> has
+    # one coset fewer than m
+    n = 7 if case == "index" else 6
+    group = _stabilizer_of_one(n)
+    subgroup = frozenset(w for w in group if w[1] == 2)
+    outside = sorted(w for w in itertools.permutations(range(1, n + 1)) if w[0] != 1)
+    if case == "coset":
+        wset = group - {max(group)} | {outside[-1]}
+    elif case == "subgroup":
+        wset = group - {max(subgroup)} | {outside[-1]}
+    else:
+        wset = group | set(outside[: len(subgroup)])
+    m = len(wset) // len(subgroup)
+    assert m * len(subgroup) == len(wset) and m <= n
+    walks, _ = _spy_on_closure(monkeypatch)
+    with pytest.raises(ValueError, match="is not closed"):
+        PermGroup.from_words(wset, n)
+    assert walks == [(m, False)]
+    _assert_from_words_matches_reference(wset, n)
+
+
+def test_from_words_holds_no_second_copy_of_the_level():
+    # the level above S_7: closing over the stabilizer of 1 and walking its
+    # eight cosets must not build the level's 40320 words again
+    ((k, level),) = iter_levels(pp.symmetric_group(7), 1)
+    words_bytes = sum(map(sys.getsizeof, level))
+    tracemalloc.start()
+    try:
+        PermGroup.from_words(level, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(level) == 40320
+    assert peak < words_bytes / 2, (peak, words_bytes)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
