@@ -200,8 +200,10 @@ class PermGroup(PermSet):
         produced lazily from a heap, and the walk stops at the first
         extension whose closure equals the set, since no later word could
         extend it; a set that is not a group walks every word.  Each word
-        the walk extends by must have the set's degree, so a member of
-        another degree, never in the closure, is refused when reached.
+        the walk extends by must be a permutation of 1..degree, so a member
+        of another degree or a word that repeats a value, never in the
+        closure of permutations, is refused when reached; the set must
+        equal that closure, so no other word is checked.
 
         The extension that would equal the set is never built.  Before
         extending the closure H by the next word g, with m = |W| / |H| a
@@ -223,13 +225,16 @@ class PermGroup(PermSet):
         size = len(wset)
         heap = list(wset)
         heapq.heapify(heap)
-        closed = {_identity_word(degree)}
+        identity = _identity_word(degree)
+        closed = {identity}
         gens: list[Word] = []
         while heap:
             g = heapq.heappop(heap)
             if g not in closed:
                 if len(g) != degree:
                     raise ValueError(f"member degree {len(g)} != {degree}")
+                if tuple(sorted(g)) != identity:
+                    raise ValueError(f"not a permutation of 1..{degree}: {g!r}")
                 m, rest = divmod(size, len(closed))
                 if (
                     not rest
@@ -557,8 +562,28 @@ def _is_prime_power(k: int) -> bool:
     return False
 
 
+#: Each degree's subgroups as (generator words, element set) pairs, in the
+#: order ``enumerate_subgroups`` returns them, kept from its first call.
+_SUBGROUP_CATALOG: dict[int, list[tuple[tuple[Word, ...], frozenset[Word]]]] = {}
+
+
 def enumerate_subgroups(n: int) -> list[PermGroup]:
     """Every subgroup of the degree-n symmetric group, degree capped at 6.
+
+    The enumeration runs once per degree and process: later calls return
+    new ``PermGroup`` objects over the same generator tuples and frozensets,
+    so what one caller caches on a group (its orbits) no other caller sees.
+    """
+    if not 1 <= n <= MAX_SUBGROUP_DEGREE:
+        raise ValueError(f"subgroup enumeration is capped at degree {MAX_SUBGROUP_DEGREE}")
+    catalog = _SUBGROUP_CATALOG.get(n)
+    if catalog is None:
+        catalog = _SUBGROUP_CATALOG[n] = _subgroup_catalog(n)
+    return [PermGroup(n, gens, elems) for gens, elems in catalog]
+
+
+def _subgroup_catalog(n: int) -> list[tuple[tuple[Word, ...], frozenset[Word]]]:
+    """The subgroups of S_n as (generators, elements) pairs.
 
     Seeds with the cyclic subgroups generated by prime-power-order elements
     and repeatedly extends by one such element, closing and deduplicating by
@@ -570,8 +595,6 @@ def enumerate_subgroups(n: int) -> list[PermGroup]:
     Theory, 2005), so a later extender in HgH could only find a group already
     seen.  Deterministic output order: ascending by (order, element list).
     """
-    if not 1 <= n <= MAX_SUBGROUP_DEGREE:
-        raise ValueError(f"subgroup enumeration is capped at degree {MAX_SUBGROUP_DEGREE}")
     full = symmetric_group(n).word_set
     even_half = alternating_group(n).word_set
     cutoff = _LARGEST_SPORADIC_ORDER[n]
@@ -609,6 +632,9 @@ def enumerate_subgroups(n: int) -> list[PermGroup]:
                 for ga in (itemgetter(*(x - 1 for x in a))(g) for a in base):
                     covered.update(map(itemgetter(*(x - 1 for x in ga)), base))
                 push(grow(elems, gens, g), gens + (g,))
-    groups = [PermGroup(n, gens, elems) for elems, gens in seen.items()]
-    groups.sort(key=lambda h: (h.order, sorted(h.word_set)))
-    return groups
+    # kept for the process: each element set refers to the words of S_n, so
+    # a word in many subgroups is held once
+    word = {w: w for w in full}.__getitem__
+    catalog = [(gens, frozenset(set(map(word, elems)))) for elems, gens in seen.items()]
+    catalog.sort(key=lambda c: (len(c[1]), sorted(c[1])))
+    return catalog

@@ -6,6 +6,7 @@ element, so structural equality and hashing are canonical.  The text format is
 """
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 from .perms import Perm, ajd, dja, natural_cycle
@@ -18,12 +19,12 @@ class Partition(NamedTuple):
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> "Partition":
         # an empty block sorts first; disjoint blocks sort by their minimum
-        norm = tuple(sorted(tuple(sorted(b)) for b in blocks))
+        norm = tuple(sorted(map(tuple, map(sorted, blocks))))
         if not norm or not norm[0]:
             raise ValueError("blocks must be nonempty")
-        flat = [x for b in norm for x in b]
+        flat = sorted(chain.from_iterable(norm))
         n = len(flat)
-        if sorted(flat) != list(range(1, n + 1)):
+        if flat != list(range(1, n + 1)):
             raise ValueError(f"blocks must partition 1..n exactly once: {norm}")
         return cls(n, norm)
 
@@ -77,7 +78,8 @@ def meet(p: Partition, q: Partition) -> Partition:
     cells: dict[tuple[int, int], list[int]] = {}
     for x in range(1, p.size + 1):
         cells.setdefault((pi[x], qi[x]), []).append(x)
-    return Partition.from_blocks(cells.values())
+    # filled in ascending x: each cell is sorted and first met at its minimum
+    return Partition(p.size, tuple(map(tuple, cells.values())))
 
 
 def join(p: Partition, q: Partition) -> Partition:
@@ -136,16 +138,23 @@ def end_blocks(n: int, a: int, b: int) -> Partition:
 
 def max_intervals(p: Partition) -> Partition:
     """Coarsest interval partition refining ``p``: maximal runs of consecutive
-    integers that lie in one block."""
+    integers that lie in one block.  A block that is an interval is one run,
+    and a partition of intervals is its own answer."""
     runs = []
     for b in p.blocks:
+        if b[-1] - b[0] + 1 == len(b):
+            runs.append(b)
+            continue
         start = 0
         for i in range(1, len(b)):
             if b[i] != b[i - 1] + 1:
                 runs.append(b[start:i])
                 start = i
         runs.append(b[start:])
-    return Partition(p.size, tuple(sorted(runs)))
+    if len(runs) == len(p.blocks):
+        return p
+    runs.sort()
+    return Partition(p.size, tuple(runs))
 
 
 def derive(p: Partition) -> Partition:
@@ -161,18 +170,16 @@ def derive(p: Partition) -> Partition:
     blocks: list[tuple[int, ...]] = []
     for run in max_intervals(p).blocks:
         a, b = run[0], run[-1]
-        if a == 1 and b == n:
-            blocks.append(tuple(range(1, n + 2)))
-        elif a == 1:
-            blocks.append(run)
-        elif b == n:
-            blocks.append((a,))
-            blocks.append(tuple(range(a + 1, n + 2)))
+        if a == 1:
+            blocks.append(run if b < n else tuple(range(1, n + 2)))
         else:
             blocks.append((a,))
-            if a < b:
-                blocks.append(tuple(range(a + 1, b + 1)))
-    return Partition.from_blocks(blocks)
+            if b == n:
+                blocks.append(tuple(range(a + 1, n + 2)))
+            elif a < b:
+                blocks.append(run[1:])
+    # the runs ascend, so the blocks are intervals of 1..n+1 in order
+    return Partition(n + 1, tuple(blocks))
 
 
 def derive_iter(p: Partition, i: int) -> Partition:
@@ -249,7 +256,7 @@ def interwoven_generators(p: Partition) -> tuple[Perm, ...]:
 
 def mu(p: Partition) -> int:
     """Largest size of a middle maximal-interval block (1 when there is none)."""
-    return max((len(b) for b in max_intervals(p).blocks[1:-1]), default=1)
+    return max(map(len, max_intervals(p).blocks[1:-1]), default=1)
 
 
 def mu_ab(p: Partition, a: int, b: int) -> int:

@@ -6,6 +6,7 @@ never silently passed.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -399,16 +400,21 @@ def _law_cycle_prefix_generation(_: random.Random) -> dict | None:
     return None
 
 
-def _all_partitions(n: int) -> list[parts.Partition]:
-    out: list[list[list[int]]] = [[[1]]]
-    for x in range(2, n + 1):
-        nxt = []
-        for p in out:
-            for i in range(len(p)):
-                nxt.append([b + [x] if j == i else list(b) for j, b in enumerate(p)])
-            nxt.append([list(b) for b in p] + [[x]])
-        out = nxt
-    return [parts.Partition.from_blocks(p) for p in out] if n else []
+@functools.lru_cache(maxsize=None)
+def _all_partitions(n: int) -> tuple[parts.Partition, ...]:
+    """Every partition of 1..n, built once per degree: each partition of
+    1..n-1 with n added to each of its blocks in turn, then as a block of
+    its own.  Blocks stay sorted and ordered by their minimum, so each is
+    already in ``Partition`` form."""
+    if n <= 1:
+        return (parts.Partition(1, ((1,),)),) if n == 1 else ()
+    out = []
+    for p in _all_partitions(n - 1):
+        blocks = p.blocks
+        for i, b in enumerate(blocks):
+            out.append(parts.Partition(n, (*blocks[:i], (*b, n), *blocks[i + 1 :])))
+        out.append(parts.Partition(n, (*blocks, (n,))))
+    return tuple(out)
 
 
 def _law_young_join(_: random.Random) -> dict | None:
@@ -432,16 +438,24 @@ def _law_young_join(_: random.Random) -> dict | None:
 
 
 def _law_orbit_minimality(_: random.Random) -> dict | None:
+    """The orbit partition of G is the finest partition whose Young subgroup
+    holds G: G lies in the Young subgroup of its orbits and in that of no
+    strictly finer partition, for every subgroup G of S_3..S_5.  The orbits
+    come from the union-find over the generators; the other side is each
+    Young subgroup, closed from its block transpositions (and checked
+    against the block-fixing filter by law-young-join-generation), over
+    every partition of 1..n."""
     for n in (3, 4, 5):
         partitions = _all_partitions(n)
+        young = {p: young_subgroup(p) for p in partitions}
+        finer = {q: [p for p in partitions if p != q and parts.refines(p, q)] for q in partitions}
         for g in enumerate_subgroups(n):
             theta = g.orbits()
-            if not g.is_subgroup_of(young_subgroup(theta)):
+            if not g.is_subgroup_of(young[theta]):
                 return {"group": describe_group(g), "orbits": str(theta)}
-            for p in partitions:
-                if p != theta and parts.refines(p, theta):
-                    if g.is_subgroup_of(young_subgroup(p)):
-                        return {"group": describe_group(g), "finer": str(p)}
+            for p in finer[theta]:
+                if g.is_subgroup_of(young[p]):
+                    return {"group": describe_group(g), "finer": str(p)}
     return None
 
 
@@ -516,6 +530,12 @@ def _extend_last(p: parts.Partition) -> parts.Partition:
 
 
 def _law_derive_meet_form(_: random.Random) -> dict | None:
+    """The derived partition is a meet: with m the maximal intervals of p,
+    derive(p) is m shifted up by one with the new point 1 joined to the
+    block of 2, met with m with n+1 joined to the block of n.  The two
+    shifts are written here and ``meet`` is checked against its definition
+    in the tests, so this side shares nothing with derive's case analysis
+    but ``max_intervals``, which both sides start from."""
     for n in range(1, 9):
         for p in _all_partitions(n):
             m = parts.max_intervals(p)
@@ -526,6 +546,9 @@ def _law_derive_meet_form(_: random.Random) -> dict | None:
 
 
 def _law_derive_shape(_: random.Random) -> dict | None:
+    """Every derived partition is an interval partition in which no two
+    adjacent blocks both have two or more points.  The other side is the
+    two predicates, which read the derived blocks directly."""
     for n in range(1, 9):
         for p in _all_partitions(n):
             d = parts.derive(p)
@@ -537,6 +560,9 @@ def _law_derive_shape(_: random.Random) -> dict | None:
 
 
 def _law_derive_reversal(_: random.Random) -> dict | None:
+    """The derivative keeps reversal symmetry: when p is fixed by x -> n+1-x,
+    derive(p) is fixed by x -> n+2-x.  The other side is
+    ``reverse_partition``, which maps each block through the reflection."""
     for n in range(1, 9):
         for p in _all_partitions(n):
             if parts.reverse_partition(p) == p:
@@ -547,6 +573,10 @@ def _law_derive_reversal(_: random.Random) -> dict | None:
 
 
 def _law_measure_decrement(_: random.Random) -> dict | None:
+    """Each derivative lowers mu, the size of the largest middle
+    maximal-interval block, by one until it is 1: mu(derive(p)) = mu(p) - 1,
+    or both are 1.  The other side is ``mu`` itself, read off the blocks of
+    p and of derive(p); it takes no derivative."""
     for n in range(1, 9):
         for p in _all_partitions(n):
             before, after = parts.mu(p), parts.mu(parts.derive(p))
@@ -556,6 +586,11 @@ def _law_measure_decrement(_: random.Random) -> dict | None:
 
 
 def _law_interwoven_disjoint(_: random.Random) -> dict | None:
+    """In a partition with no trivial block, distinct interwoven intervals
+    are disjoint, which ``interwoven_generators`` assumes when it keeps at
+    most one interwoven prefix and one suffix.  The other side is every
+    interval [a, b] tested by the definition, ``interwoven``, not the
+    prefix and suffix scan."""
     for n in range(2, 9):
         for p in _all_partitions(n):
             if p.has_trivial_block():

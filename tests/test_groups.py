@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 import sys
 import tracemalloc
 
@@ -141,6 +142,23 @@ def test_from_words_refuses_a_member_of_another_degree(words):
         PermGroup.from_words(words, 3)
 
 
+@pytest.mark.parametrize(
+    "words, degree, word",
+    [
+        # the identity and (1, 1, 1) once closed to a monoid of order 2
+        ({(1, 2, 3), (1, 1, 1)}, 3, (1, 1, 1)),
+        ({(1, 2), (1, 1)}, 2, (1, 1)),
+        # reached after a first extension, and with a value past the degree
+        ({(1, 2, 3), (2, 3, 1), (3, 1, 2), (3, 3, 1)}, 3, (3, 3, 1)),
+        ({(1, 2, 3), (1, 2, 5)}, 3, (1, 2, 5)),
+    ],
+)
+def test_from_words_refuses_a_word_that_is_no_permutation(words, degree, word):
+    message = f"not a permutation of 1..{degree}: {word!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PermGroup.from_words(words, degree)
+
+
 def test_named_groups():
     assert pp.natural_dihedral_group(5).order == 10
     assert pp.sab_group(7, 2, 3).order == math.factorial(2) * math.factorial(3)
@@ -262,6 +280,17 @@ def test_largest_ab():
     assert pp.young_subgroup(pp.parse_partition("1,2,3|4,5")).largest_ab() == (3, 2)
 
 
+@pytest.fixture
+def fresh_catalog(monkeypatch):
+    """Empties the per-process subgroup memo, so the next enumerate_subgroups
+    call of each degree runs the enumeration; call it again to empty it again."""
+    def empty():
+        monkeypatch.setattr(groups_mod, "_SUBGROUP_CATALOG", {})
+
+    empty()
+    return empty
+
+
 def test_enumerate_subgroups_counts():
     assert len(pp.enumerate_subgroups(1)) == 1
     assert len(pp.enumerate_subgroups(2)) == 2
@@ -271,7 +300,7 @@ def test_enumerate_subgroups_counts():
         pp.enumerate_subgroups(7)
 
 
-def test_enumerate_subgroups_degree3_against_powerset():
+def test_enumerate_subgroups_degree3_against_powerset(fresh_catalog):
     # independent oracle: scan all subsets of the 6 words for closure
     words = list(itertools.permutations((1, 2, 3)))
     brute = set()
@@ -289,10 +318,11 @@ def test_enumerate_subgroups_degree3_against_powerset():
     assert ours == brute
 
 
-def test_enumerate_subgroups_lagrange_and_determinism():
+def test_enumerate_subgroups_lagrange_and_determinism(fresh_catalog):
     subs = pp.enumerate_subgroups(4)
     for g in subs:
         assert math.factorial(4) % g.order == 0
+    fresh_catalog()
     again = pp.enumerate_subgroups(4)
     assert [(g.word_set, g.generator_words) for g in subs] == [
         (h.word_set, h.generator_words) for h in again
@@ -500,7 +530,7 @@ def test_from_words_matches_reference_on_open_and_closed_sets(case):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_enumerate_subgroups_matches_bfs_reference(n):
+def test_enumerate_subgroups_matches_bfs_reference(n, fresh_catalog):
     ours = sorted((sorted(g.word_set), g.generator_words) for g in pp.enumerate_subgroups(n))
     assert ours == _bfs_subgroups(n)
 
@@ -515,7 +545,7 @@ def test_enumerate_subgroups_degree6_digest(degree6_catalog):
     )
 
 
-def test_enumerate_subgroups_closes_once_per_double_coset(monkeypatch):
+def test_enumerate_subgroups_closes_once_per_double_coset(monkeypatch, fresh_catalog):
     # one closure per extender (8183 calls at degree 5) must fail this count
     calls = []
     real = groups_mod._extend
@@ -527,6 +557,29 @@ def test_enumerate_subgroups_closes_once_per_double_coset(monkeypatch):
     monkeypatch.setattr(groups_mod, "_extend", counting)
     assert len(pp.enumerate_subgroups(5)) == 156
     assert len(calls) == 1638
+
+
+def test_enumerate_subgroups_keeps_one_catalog_per_degree(monkeypatch, fresh_catalog):
+    # the second call enumerates nothing: it wraps the first call's element
+    # sets and generators in new groups, so structure one caller caches on
+    # a group is not seen through another
+    calls = []
+    real = groups_mod._prime_power_order_words
+    monkeypatch.setattr(
+        groups_mod, "_prime_power_order_words", lambda n: calls.append(n) or real(n)
+    )
+    first, second = pp.enumerate_subgroups(4), pp.enumerate_subgroups(4)
+    assert calls == [4]
+    assert first == second and len(first) == 30
+    assert all(g is not h for g, h in zip(first, second))
+    assert all(
+        g.word_set is h.word_set and g.generator_words is h.generator_words
+        for g, h in zip(first, second)
+    )
+    g, h = first[-1], second[-1]
+    assert g.orbits() == pp.parse_partition("1,2,3,4")
+    assert g._orbits is not None and h._orbits is None
+    assert pp.enumerate_subgroups(3) != first and calls == [4, 3]
 
 
 def _sympy_group(g):

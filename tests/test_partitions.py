@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import permpat as pp
@@ -164,3 +166,101 @@ def test_join_and_meet_match_their_definitions(n):
             pp_p, pp_q = parts_by_label[p], parts_by_label[q]
             assert pp.join(pp_p, pp_q) == parts_by_label[finest], (p, q)
             assert pp.meet(pp_p, pp_q) == parts_by_label[coarsest], (p, q)
+
+
+# ---------------------------------------------------------------------------
+# the partition kernel against literal references
+
+def _from_blocks_reference(blocks):
+    norm = tuple(sorted(tuple(sorted(b)) for b in blocks))
+    if not norm or not norm[0]:
+        raise ValueError("blocks must be nonempty")
+    flat = [x for b in norm for x in b]
+    n = len(flat)
+    if sorted(flat) != list(range(1, n + 1)):
+        raise ValueError(f"blocks must partition 1..n exactly once: {norm}")
+    return pp.Partition(n, norm)
+
+
+def _max_intervals_reference(p):
+    runs = []
+    for b in p.blocks:
+        start = 0
+        for i in range(1, len(b)):
+            if b[i] != b[i - 1] + 1:
+                runs.append(b[start:i])
+                start = i
+        runs.append(b[start:])
+    return pp.Partition(p.size, tuple(sorted(runs)))
+
+
+def _derive_reference(p):
+    n = p.size
+    blocks = []
+    for run in _max_intervals_reference(p).blocks:
+        a, b = run[0], run[-1]
+        if a == 1 and b == n:
+            blocks.append(tuple(range(1, n + 2)))
+        elif a == 1:
+            blocks.append(run)
+        elif b == n:
+            blocks.append((a,))
+            blocks.append(tuple(range(a + 1, n + 2)))
+        else:
+            blocks.append((a,))
+            if a < b:
+                blocks.append(tuple(range(a + 1, b + 1)))
+    return _from_blocks_reference(blocks)
+
+
+def _meet_reference(p, q):
+    pi, qi = p.block_index, q.block_index
+    cells = {}
+    for x in range(1, p.size + 1):
+        cells.setdefault((pi[x], qi[x]), []).append(x)
+    return _from_blocks_reference(cells.values())
+
+
+def _outcome(build, blocks):
+    try:
+        return build(blocks)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_partition_kernel_matches_references(n):
+    rng = random.Random(n)
+    previous = None
+    for labels in _all_partitions(n):
+        blocks = {}
+        for x, c in enumerate(labels, start=1):
+            blocks.setdefault(c, []).append(x)
+        shuffled = [rng.sample(b, len(b)) for b in blocks.values()]
+        rng.shuffle(shuffled)
+        p = pp.Partition.from_blocks(shuffled)
+        assert p == _from_blocks_reference(shuffled), shuffled
+        assert p == pp.Partition.from_blocks(tuple(map(tuple, blocks.values())))
+        assert pp.max_intervals(p) == _max_intervals_reference(p), labels
+        derived = pp.derive(p)
+        assert derived == _derive_reference(p), labels
+        assert pp.max_intervals(derived) == _max_intervals_reference(derived), labels
+        if previous is not None:
+            assert pp.meet(p, previous) == _meet_reference(p, previous), labels
+        previous = p
+
+
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        ([], "blocks must be nonempty"),
+        ([[1], []], "blocks must be nonempty"),
+        ([[1, 1, 2], [3]], "blocks must partition 1..n exactly once: ((1, 1, 2), (3,))"),
+        ([[3], [2]], "blocks must partition 1..n exactly once: ((2,), (3,))"),
+        ([[4, 1], [2]], "blocks must partition 1..n exactly once: ((1, 4), (2,))"),
+        ([(2, 1), [1]], "blocks must partition 1..n exactly once: ((1,), (1, 2))"),
+    ],
+)
+def test_from_blocks_errors_match_the_reference(blocks, message):
+    assert _outcome(pp.Partition.from_blocks, blocks) == message
+    assert _outcome(_from_blocks_reference, blocks) == message

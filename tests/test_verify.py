@@ -82,6 +82,52 @@ def test_verify_laws_all_pass_at_another_seed():
     assert all(r.status == "pass" for r in pp.verify_laws(seed=1))
 
 
+def _all_partitions_reference(n):
+    out = [[[1]]]
+    for x in range(2, n + 1):
+        nxt = []
+        for p in out:
+            for i in range(len(p)):
+                nxt.append([b + [x] if j == i else list(b) for j, b in enumerate(p)])
+            nxt.append([list(b) for b in p] + [[x]])
+        out = nxt
+    return [parts.Partition.from_blocks(p) for p in out] if n else []
+
+
+def test_all_partitions_keeps_its_order():
+    # the law suites walk this order, so it fixes their first counterexamples
+    for n in range(9):
+        assert verify_mod._all_partitions(n) == tuple(_all_partitions_reference(n))
+    assert len(verify_mod._all_partitions(8)) == 4140
+    assert verify_mod._all_partitions(5) is verify_mod._all_partitions(5)
+
+
+def test_verify_laws_enumerates_each_catalog_once(monkeypatch):
+    # perfbench's tracer counts groups.subgroups_found from each enumerate_subgroups
+    # result verify gets, so verify keeps all nine calls (726 groups) while
+    # the memo in groups runs the real enumeration once per degree
+    monkeypatch.setattr(groups_mod, "_SUBGROUP_CATALOG", {})
+    enumerated, returned = [], []
+    real_words, real_enumerate = groups_mod._prime_power_order_words, verify_mod.enumerate_subgroups
+
+    def counting_words(n):
+        enumerated.append(n)
+        return real_words(n)
+
+    def counting_enumerate(n):
+        subgroups = real_enumerate(n)
+        returned.append((n, len(subgroups)))
+        return subgroups
+
+    monkeypatch.setattr(groups_mod, "_prime_power_order_words", counting_words)
+    monkeypatch.setattr(verify_mod, "enumerate_subgroups", counting_enumerate)
+    assert all(r.status == "pass" for r in pp.verify_laws(seed=0))
+    assert len(returned) == 9
+    assert sum(k for _, k in returned) == 726
+    assert dict(returned) == {3: 6, 4: 30, 5: 156}
+    assert enumerated == [3, 4, 5]
+
+
 def _run_law_suite(check_id):
     # one suite alone, with the rng verify_laws seeds it with at seed 0
     suites = {cid: (scope, fn) for cid, scope, fn in verify_mod._LAW_SUITES}
