@@ -24,6 +24,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .partitions import Partition, congruence, end_blocks, parse_partition, refines
 from .perms import (
+    MAX_DEGREE,
     CapExceeded,
     Perm,
     _check_degree,
@@ -44,6 +45,22 @@ def _identity_word(n: int) -> Word:
     return tuple(range(1, n + 1))
 
 
+def _check_permutation(g: Word, identity: Word) -> None:
+    if tuple(sorted(g)) != identity:
+        raise ValueError(f"not a permutation of 1..{len(identity)}: {g!r}")
+
+
+#: Position of each value in a word: ``_ZERO_BASED[x] == x - 1``.
+_ZERO_BASED = tuple(range(-1, MAX_DEGREE))
+
+
+def _times(s: Word) -> itemgetter:
+    """The right multiplication r -> r·s, the word of x -> r(s(x)), as one
+    C-level lookup.  ``s`` must be a permutation of 1..n with n >= 2: at
+    degree 1 ``itemgetter`` returns a value, not a word."""
+    return itemgetter(*itemgetter(*s)(_ZERO_BASED))
+
+
 def _extend(elems: set[Word], gens: list[Word], g: Word, element_cap: int) -> None:
     """Grow the group ``elems`` generated by ``gens`` to <gens, g>, in place.
 
@@ -51,7 +68,8 @@ def _extend(elems: set[Word], gens: list[Word], g: Word, element_cap: int) -> No
     the call, the new group is a union of right cosets H r.  A coset is added
     whole the first time a product of a representative and a generator lands
     outside the elements so far, so every element is produced once.  Requires
-    ``g`` not in ``elems``; appends it to ``gens``.
+    ``g`` not in ``elems`` and every word a permutation (``_times``); appends
+    ``g`` to ``gens``.
     """
     gens.append(g)
     base = list(elems)
@@ -59,7 +77,7 @@ def _extend(elems: set[Word], gens: list[Word], g: Word, element_cap: int) -> No
 
     def add_coset(r: Word) -> None:
         reps.append(r)
-        elems.update(map(itemgetter(*(x - 1 for x in r)), base))
+        elems.update(map(_times(r), base))
         if len(elems) > element_cap:
             raise CapExceeded(
                 f"closure exceeded the element cap of {element_cap} "
@@ -67,7 +85,7 @@ def _extend(elems: set[Word], gens: list[Word], g: Word, element_cap: int) -> No
             )
 
     add_coset(g)
-    right = [itemgetter(*(x - 1 for x in s)) for s in gens]  # r -> r·s
+    right = [_times(s) for s in gens]
     for r in reps:  # grows while it is scanned
         for times_s in right:
             prod = times_s(r)
@@ -84,12 +102,9 @@ def _closes_to(wset: frozenset[Word], elems: set[Word], gens: list[Word], g: Wor
     past m cosets; with exactly m, the cosets (H itself included) are m
     disjoint sets of |H| words, so they are ``wset`` when each lies inside it.
     """
-    def times(s: Word) -> itemgetter:  # r -> r·s
-        return itemgetter(*(x - 1 for x in s))
-
     reps = [g]
-    over = [times(_inverse_word(g))]  # p -> p·g^-1
-    right = [times(s) for s in gens + [g]]
+    over = [_times(_inverse_word(g))]  # p -> p·g^-1
+    right = [_times(s) for s in gens + [g]]
     for r in reps:  # grows while it is scanned
         for times_s in right:
             prod = times_s(r)
@@ -98,21 +113,25 @@ def _closes_to(wset: frozenset[Word], elems: set[Word], gens: list[Word], g: Wor
             if len(reps) + 1 == m:
                 return False
             reps.append(prod)
-            over.append(times(_inverse_word(prod)))
+            over.append(_times(_inverse_word(prod)))
     return (
         len(reps) + 1 == m
         and wset.issuperset(elems)
-        and all(wset.issuperset(map(times(r), elems)) for r in reps)
+        and all(wset.issuperset(map(_times(r), elems)) for r in reps)
     )
 
 
 def _generate(gens: Iterable[Word], n: int, element_cap: int) -> tuple[set[Word], list[Word]]:
     """The elements of <gens>, one generator at a time, and the generators
-    kept; a generator already in the group so far is skipped."""
-    elems = {_identity_word(n)}
+    kept; a generator already in the group so far is skipped.  Each one
+    extended by must be a permutation of 1..n: a word that repeats a value
+    would close to a monoid, or never close."""
+    identity = _identity_word(n)
+    elems = {identity}
     kept: list[Word] = []
     for g in gens:
         if g not in elems:
+            _check_permutation(g, identity)
             _extend(elems, kept, g, element_cap)
     return elems, kept
 
@@ -233,8 +252,7 @@ class PermGroup(PermSet):
             if g not in closed:
                 if len(g) != degree:
                     raise ValueError(f"member degree {len(g)} != {degree}")
-                if tuple(sorted(g)) != identity:
-                    raise ValueError(f"not a permutation of 1..{degree}: {g!r}")
+                _check_permutation(g, identity)
                 m, rest = divmod(size, len(closed))
                 if (
                     not rest
@@ -629,8 +647,8 @@ def _subgroup_catalog(n: int) -> list[tuple[tuple[Word, ...], frozenset[Word]]]:
         for g in extenders:
             if g not in covered:
                 # cover the double coset HgH: every b*g*a with a, b in H
-                for ga in (itemgetter(*(x - 1 for x in a))(g) for a in base):
-                    covered.update(map(itemgetter(*(x - 1 for x in ga)), base))
+                for ga in (_times(a)(g) for a in base):
+                    covered.update(map(_times(ga), base))
                 push(grow(elems, gens, g), gens + (g,))
     # kept for the process: each element set refers to the words of S_n, so
     # a word in many subgroups is held once

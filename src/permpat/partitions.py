@@ -220,11 +220,11 @@ def interwoven(p: Partition, a: int, b: int) -> bool:
     if not 1 <= a < b <= p.size:
         raise ValueError(f"need 1 <= a < b <= {p.size}, got [{a},{b}]")
     span = b - a + 1
-    block_set = set(p.blocks)
     for k in range(2, span + 1):
         if span % k:
             continue
-        if all(tuple(range(a + i, b + 1, k)) in block_set for i in range(k)):
+        # at most 16 blocks: a scan of the tuple beats building a set
+        if all(tuple(range(a + i, b + 1, k)) in p.blocks for i in range(k)):
             return True
     return False
 

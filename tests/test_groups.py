@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import random
 import re
 import sys
 import tracemalloc
@@ -106,6 +107,53 @@ def test_closure_trivial_and_cyclic():
 def test_closure_rejects_a_generator_of_the_wrong_degree():
     with pytest.raises(ValueError, match="generator degree 4 != 5"):
         PermGroup.closure([(2, 3, 4, 1)], 5)
+
+
+@pytest.mark.parametrize(
+    "generators, word",
+    [
+        # once closed to a monoid of order 2
+        ([(1, 1, 1)], (1, 1, 1)),
+        # once re-added the same coset forever
+        ([(1, 2, 0)], (1, 2, 0)),
+        # reached after a first extension, and with a value past the degree
+        ([(2, 3, 1), (3, 3, 1)], (3, 3, 1)),
+        ([(2, 1, 3), (1, 2, 5)], (1, 2, 5)),
+    ],
+)
+def test_closure_refuses_a_word_that_is_no_permutation(generators, word, monkeypatch):
+    # _extend is never reached by the word, so a regression fails here
+    # instead of looping forever
+    real = groups_mod._extend
+
+    def checked_extend(elems, gens, g, element_cap):
+        assert g != word, f"_extend reached {g!r}"
+        return real(elems, gens, g, element_cap)
+
+    monkeypatch.setattr(groups_mod, "_extend", checked_extend)
+    message = f"not a permutation of 1..3: {word!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PermGroup.closure(generators, 3)
+
+
+@pytest.mark.parametrize("words", [[(1, 2, 3), (1, 2)], [(1, 2), (2, 1, 3, 4), (3, 1, 2), (1,)]])
+def test_permset_refuses_a_member_of_another_degree(words):
+    # the first member of the wrong degree in the set's own iteration order
+    bad = next(len(w) for w in frozenset(words) if len(w) != 3)
+    with pytest.raises(ValueError, match=f"^member degree {bad} != 3$"):
+        PermSet(3, words)
+
+
+def test_right_multiplication_matches_composition():
+    for n in range(2, 6):
+        words = list(itertools.permutations(range(1, n + 1)))
+        for s in words:
+            times_s = groups_mod._times(s)
+            assert all(times_s(r) == _compose_words(r, s) for r in words)
+    rng = random.Random(16)
+    for _ in range(200):
+        r, s = (tuple(rng.sample(range(1, 17), 16)) for _ in range(2))
+        assert groups_mod._times(s)(r) == _compose_words(r, s)
 
 
 def test_permset_and_group_with_the_same_words_are_equal():

@@ -187,3 +187,10 @@ def test_permgroup_is_constructed_directly_only_by_the_closure():
     assert found <= DIRECT_CONSTRUCTORS, (
         f"PermGroup built directly in {sorted(found - DIRECT_CONSTRUCTORS)}"
     )
+
+
+def test_one_right_multiplication():
+    # r -> r·s is built by groups._times alone, not by an itemgetter over a
+    # generator expression
+    found = [p.name for p in SRC.glob("*.py") if "x - 1 for x in" in p.read_text()]
+    assert not found, f"right multiplication written out in {found}"

@@ -179,6 +179,12 @@ def _empty_comp(s, n, **kwargs):
         # Young subgroups against the block-fixing filter
         (verify_mod, "young_subgroup", lambda p, *args: pp.trivial_group(p.size),
          "law-young-join-generation", {"partition": "1,2"}),
+        # the join against the closure of both Young subgroups
+        (parts, "join", lambda p, q: p, "law-young-join-generation",
+         {"p": "1,2|3", "q": "1,3|2"}),
+        # interwoven intervals against their disjointness
+        (parts, "interwoven", lambda p, a, b: True, "law-interwoven-disjoint",
+         {"partition": "1,2,3", "intervals": [[1, 2], [1, 3]]}),
     ],
 )
 def test_tampered_library_fails_its_law_suite(
@@ -188,6 +194,21 @@ def test_tampered_library_fails_its_law_suite(
     report = _run_law_suite(check_id)
     assert report.status == "fail"
     assert json.loads(json.dumps(report.counterexample)) == counterexample
+
+
+def test_young_join_closes_each_unordered_pair_once(monkeypatch):
+    # 74 Young subgroups of degree 2..5 and 1516 joins: the 1442 unordered
+    # pairs of distinct partitions and the 74 pairs p = q
+    calls = []
+    real = groups_mod.PermGroup.closure.__func__
+
+    def counting(cls, generators, degree, *args):
+        calls.append(degree)
+        return real(cls, generators, degree, *args)
+
+    monkeypatch.setattr(groups_mod.PermGroup, "closure", classmethod(counting))
+    assert _run_law_suite("law-young-join-generation").status == "pass"
+    assert len(calls) == 1590
 
 
 def test_eventual_onset():
