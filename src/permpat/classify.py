@@ -65,21 +65,10 @@ class EventualFamily(NamedTuple):
     a: int | None = None
     b: int | None = None
 
-    def order_at(self, degree: int) -> int | None:
-        if self.kind == "symmetric":
-            return math.factorial(degree)
-        if self.kind == "cyclic":
-            if self.with_descending:
-                return 2 * degree if degree >= 3 else min(degree, 2)
-            return degree
-        assert self.a is not None and self.b is not None
-        if self.a + self.b > degree:
-            return None
-        base = math.factorial(self.a) * math.factorial(self.b)
-        return 2 * base if self.with_descending else base
-
+    @lru_cache(maxsize=None)
     def group_at(self, degree: int) -> PermGroup | None:
-        """The family member at the given degree; None when not defined there.
+        """The family member at the given degree, built once per family and
+        degree; None when not defined there.
 
         The full symmetric family is intentionally not materialised (callers
         compare by order, which determines it among subsets).
@@ -87,19 +76,19 @@ class EventualFamily(NamedTuple):
         if self.kind == "symmetric":
             return None
         if self.kind == "cyclic":
-            return _cyclic_family_group(degree, self.with_descending)
+            if self.with_descending:
+                return natural_dihedral_group(degree)
+            return natural_cyclic_group(degree)
         if self.a + self.b > degree:  # type: ignore[operator]
             return None
-        return _sab_family_group(degree, self.a, self.b, self.with_descending)
+        pi = parts.end_blocks(degree, self.a, self.b)  # type: ignore[arg-type]
+        return young_with_reversal(pi) if self.with_descending else young_subgroup(pi)
 
     def matches(self, g: PermGroup) -> bool:
         """True iff ``g`` equals the family member at its own degree."""
-        if g.order != self.order_at(g.degree):
-            return False
         if self.kind == "symmetric":
-            return True  # a subset of S_n with full order is S_n
-        member = self.group_at(g.degree)
-        return member is not None and member == g
+            return g.order == math.factorial(g.degree)  # a subset of S_n of full order
+        return self.group_at(g.degree) == g
 
     def to_json(self) -> dict:
         return {
@@ -108,17 +97,6 @@ class EventualFamily(NamedTuple):
             "a": self.a,
             "b": self.b,
         }
-
-
-@lru_cache(maxsize=None)
-def _cyclic_family_group(degree: int, with_descending: bool) -> PermGroup:
-    return natural_dihedral_group(degree) if with_descending else natural_cyclic_group(degree)
-
-
-@lru_cache(maxsize=None)
-def _sab_family_group(degree: int, a: int, b: int, with_descending: bool) -> PermGroup:
-    pi = parts.end_blocks(degree, a, b)
-    return young_with_reversal(pi) if with_descending else young_subgroup(pi)
 
 
 class Prediction(NamedTuple):

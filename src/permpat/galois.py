@@ -47,8 +47,6 @@ def pat_set(t: PermSet, length: int) -> PermSet:
     """Union of all length-``length`` patterns of the members of ``t``."""
     if not 1 <= length <= t.degree:
         raise ValueError(f"pattern length {length} out of range 1..{t.degree}")
-    if length == t.degree:
-        return t
     return PermSet(length, _pattern_words(t.word_set, length))
 
 

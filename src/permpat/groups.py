@@ -6,7 +6,11 @@ comparison is the dominant query.  A set or group holds its words in one
 frozenset; order is imposed only where it is part of the output or of a
 deterministic choice.  Closures grow one generator at a time by coset
 (Dimino's algorithm) and are guarded by an element cap; exceeding the cap is
-a hard error, never silent truncation.  Every named group but the symmetric
+a hard error, never silent truncation.  Every closure starts from the
+identity ``perms.ascending(n)`` and refuses each word it extends by that is
+not a permutation, by the check ``Perm`` runs (``perms._check_permutation``).
+A set's degree is checked once, by ``perms._check_degree``; group
+constructors check it too.  Every named group but the symmetric
 group is the closure of the generators it states, and a group built from
 written-out words is checked by ``PermGroup.from_words``.  That check never
 builds the extension that would equal the set: when the set is m times the
@@ -28,8 +32,10 @@ from .perms import (
     CapExceeded,
     Perm,
     _check_degree,
+    _check_permutation,
     _inverse_word,
     _is_even_word,
+    ascending,
     descending,
     format_perm,
     natural_cycle,
@@ -39,15 +45,6 @@ from .perms import (
 DEFAULT_ELEMENT_CAP = 500_000
 
 Word = tuple[int, ...]
-
-
-def _identity_word(n: int) -> Word:
-    return tuple(range(1, n + 1))
-
-
-def _check_permutation(g: Word, identity: Word) -> None:
-    if tuple(sorted(g)) != identity:
-        raise ValueError(f"not a permutation of 1..{len(identity)}: {g!r}")
 
 
 #: Position of each value in a word: ``_ZERO_BASED[x] == x - 1``.
@@ -124,14 +121,14 @@ def _closes_to(wset: frozenset[Word], elems: set[Word], gens: list[Word], g: Wor
 def _generate(gens: Iterable[Word], n: int, element_cap: int) -> tuple[set[Word], list[Word]]:
     """The elements of <gens>, one generator at a time, and the generators
     kept; a generator already in the group so far is skipped.  Each one
-    extended by must be a permutation of 1..n: a word that repeats a value
-    would close to a monoid, or never close."""
-    identity = _identity_word(n)
-    elems = {identity}
+    extended by must be a permutation of 1..n (``_check_permutation``, given
+    words of length n): a word that repeats a value would close to a monoid,
+    or never close."""
+    elems = {ascending(n).word}
     kept: list[Word] = []
     for g in gens:
         if g not in elems:
-            _check_permutation(g, identity)
+            _check_permutation(g)
             _extend(elems, kept, g, element_cap)
     return elems, kept
 
@@ -152,6 +149,7 @@ class PermSet:
     __slots__ = ("degree", "word_set")
 
     def __init__(self, degree: int, words: Iterable[Word]):
+        _check_degree(degree)
         self.degree = degree
         self.word_set = frozenset(words)
         for w in self.word_set:
@@ -218,11 +216,12 @@ class PermGroup(PermSet):
         generators must reproduce the set exactly.  The sorted order is
         produced lazily from a heap, and the walk stops at the first
         extension whose closure equals the set, since no later word could
-        extend it; a set that is not a group walks every word.  Each word
-        the walk extends by must be a permutation of 1..degree, so a member
-        of another degree or a word that repeats a value, never in the
-        closure of permutations, is refused when reached; the set must
-        equal that closure, so no other word is checked.
+        extend it; a set that is not a group walks every word.  The degree
+        must be in 1..MAX_DEGREE, as for ``closure``.  Each word the walk
+        extends by must be a permutation of 1..degree, so a member of
+        another degree or a word that repeats a value, never in the closure
+        of permutations, is refused when reached; the set must equal that
+        closure, so no other word is checked.
 
         The extension that would equal the set is never built.  Before
         extending the closure H by the next word g, with m = |W| / |H| a
@@ -240,19 +239,18 @@ class PermGroup(PermSet):
         bound m (k + 1) < |H| keeps the walk off small groups, where
         building one coset costs less than walking them.
         """
+        closed = {ascending(degree).word}
         wset = frozenset(words)
         size = len(wset)
         heap = list(wset)
         heapq.heapify(heap)
-        identity = _identity_word(degree)
-        closed = {identity}
         gens: list[Word] = []
         while heap:
             g = heapq.heappop(heap)
             if g not in closed:
                 if len(g) != degree:
                     raise ValueError(f"member degree {len(g)} != {degree}")
-                _check_permutation(g, identity)
+                _check_permutation(g)
                 m, rest = divmod(size, len(closed))
                 if (
                     not rest
@@ -634,7 +632,7 @@ def _subgroup_catalog(n: int) -> list[tuple[tuple[Word, ...], frozenset[Word]]]:
             seen[elems] = gens
             queue.append((elems, gens))
 
-    trivial = frozenset({_identity_word(n)})
+    trivial = frozenset({ascending(n).word})
     push(trivial, ())
     for g in extenders:
         push(grow(trivial, (), g), (g,))

@@ -33,13 +33,7 @@ class Perm:
 
     def __init__(self, word: Iterable[int]):
         w = tuple(word)
-        n = len(w)
-        if n < 1:
-            raise ValueError("permutation degree must be at least 1")
-        if n > MAX_DEGREE:
-            raise ValueError(f"degree {n} exceeds the cap of {MAX_DEGREE}")
-        if sorted(w) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {w!r}")
+        _check_permutation(w)
         object.__setattr__(self, "word", w)
 
     @property
@@ -174,6 +168,18 @@ def ajd(n: int, length: int) -> Perm:
     """Ascending block followed by descending: ascending(n-length) (+) descending(length)."""
     _check_block(n, length)
     return Perm(tuple(range(1, n - length + 1)) + tuple(range(n, n - length, -1)))
+
+
+def _check_permutation(word: tuple[int, ...]) -> None:
+    """Refuse a word that is not a permutation of 1..n, n = len(word), with
+    1 <= n <= MAX_DEGREE: the check behind ``Perm`` and the group closure."""
+    n = len(word)
+    if n < 1:
+        raise ValueError("permutation degree must be at least 1")
+    if n > MAX_DEGREE:
+        raise ValueError(f"degree {n} exceeds the cap of {MAX_DEGREE}")
+    if sorted(word) != list(range(1, n + 1)):
+        raise ValueError(f"not a permutation of 1..{n}: {word!r}")
 
 
 def _check_degree(n: int) -> None:

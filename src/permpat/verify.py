@@ -68,11 +68,15 @@ def _run_check(check_id: str, scope: str, fn: Callable[[], dict | None]) -> Repo
     return Report(check_id, scope, "fail", cx, elapsed)
 
 
-def _words_payload(words: Iterable[Word], limit: int = 24) -> dict:
+#: Members a counterexample lists of a word set, the first in sorted order.
+_PAYLOAD_MEMBERS = 24
+
+
+def _words_payload(words: Iterable[Word]) -> dict:
     ws = sorted(words)
-    shown = [perms_mod.format_perm(Perm(w)) for w in ws[:limit]]
+    shown = [perms_mod.format_perm(Perm(w)) for w in ws[:_PAYLOAD_MEMBERS]]
     out = {"size": len(ws), "members": shown}
-    if len(ws) > limit:
+    if len(ws) > _PAYLOAD_MEMBERS:
         out["truncated"] = True
     return out
 
@@ -629,6 +633,12 @@ def _law_galois_adjunction(rng: random.Random) -> dict | None:
 
 
 def _law_galois_monotone(rng: random.Random) -> dict | None:
+    """Both operators keep inclusion: S <= S' gives comp(S) <= comp(S'), and
+    T <= T' gives pat(T) <= pat(T').  The independent side is the inclusion
+    of the inputs, made here by a union that neither operator computes.  It
+    sees an operator that turns inclusions around, such as the complement of
+    the level, but not a wrong level that keeps them (an empty one);
+    ``law-comp-direct-agreement`` checks the level itself."""
     for _ in range(12):
         l = rng.randint(2, 5)
         n = rng.randint(l + 1, 7)
@@ -645,6 +655,11 @@ def _law_galois_monotone(rng: random.Random) -> dict | None:
 
 
 def _law_galois_transitive(rng: random.Random) -> dict | None:
+    """comp from degree l to n equals comp to m and then from m to n.  The
+    independent side is the one call from l to n against the two calls
+    chained.  Both walk the same level steps, so a wrong step is not seen
+    here; a ``comp_set`` whose result is not the top of its own walk is,
+    such as one returning the complement of the level."""
     for _ in range(12):
         l = rng.randint(2, 4)
         m = rng.randint(l + 1, 6)

@@ -9,9 +9,10 @@ import pytest
 
 import permpat as pp
 from permpat import ClassKind, PermGroup
-from permpat.classify import Classification, _alternating_next_group
+from permpat.classify import Classification, EventualFamily, _alternating_next_group
 from permpat.galois import iter_levels
 from permpat.groups import describe_group
+from permpat.perms import _compose_words
 
 
 def _oracle(g, m):
@@ -182,6 +183,61 @@ def test_predict_eventual():
 
     fam, bound = pp.predict_eventual(pp.symmetric_group(6))
     assert (fam.kind, bound) == ("symmetric", 0)
+
+
+def _adjacent_conjugates(g):
+    """g conjugated by each adjacent transposition (i i+1): groups of g's
+    order, most of them other groups."""
+    n = g.degree
+    out = []
+    for i in range(1, n):
+        t = tuple(range(1, i)) + (i + 1, i) + tuple(range(i + 2, n + 1))
+        gens = [_compose_words(t, _compose_words(w, t)) for w in g.generator_words]
+        out.append(PermGroup.closure(gens, n))
+    return out
+
+
+def test_eventual_family_matches_its_member_and_no_other_group():
+    families = [EventualFamily("cyclic", d) for d in (False, True)] + [
+        EventualFamily("sab", d, a, b) for d in (False, True) for a in (1, 2, 3) for b in (1, 2, 3)
+    ]
+    refused = 0
+    for n in range(1, 9):
+        for fam in families:
+            member = fam.group_at(n)
+            if member is None:  # a + b > n: no member, nothing matches
+                assert fam.a + fam.b > n
+                assert not fam.matches(pp.trivial_group(n))
+                continue
+            assert fam.matches(member), (fam, n)
+            assert fam.matches(PermGroup.from_words(member.word_set, n)), (fam, n)
+            for other in _adjacent_conjugates(member):
+                assert other.order == member.order
+                assert fam.matches(other) == (other == member), (fam, n, describe_group(other))
+                refused += other != member
+    assert refused > 0
+    # one group of order 2 at degree 3, the member of the other sab family
+    other = EventualFamily("sab", False, 1, 2).group_at(3)
+    assert other.word_set == {(1, 2, 3), (1, 3, 2)}
+    assert EventualFamily("sab", False, 2, 1).group_at(3).word_set == {(1, 2, 3), (2, 1, 3)}
+    assert not EventualFamily("sab", False, 2, 1).matches(other)
+    # the dihedral member at degrees 1 and 2 is the whole of S_n
+    assert EventualFamily("cyclic", True).matches(pp.trivial_group(1))
+    assert EventualFamily("cyclic", True).matches(pp.symmetric_group(2))
+    assert not EventualFamily("cyclic", True).matches(pp.trivial_group(2))
+
+
+def test_symmetric_family_matches_the_whole_group_and_no_proper_subgroup():
+    fam = EventualFamily("symmetric")
+    assert fam.matches(pp.symmetric_group(1))  # S_1 has no proper subgroup
+    for n in range(2, 9):
+        assert fam.matches(pp.symmetric_group(n))
+        proper = (
+            pp.enumerate_subgroups(n)[:-1]
+            if n <= 5
+            else [pp.alternating_group(n), pp.sab_group(n, n - 1, 1), pp.natural_dihedral_group(n)]
+        )
+        assert proper and not any(fam.matches(g) for g in proper), n
 
 
 def test_classifier_tightness_on_catalogs_4_and_5():

@@ -144,6 +144,14 @@ def test_permset_refuses_a_member_of_another_degree(words):
         PermSet(3, words)
 
 
+@pytest.mark.parametrize(
+    "degree, words", [(17, [(2, 1) + tuple(range(3, 18))]), (0, [()]), (0, [(1,)])]
+)
+def test_permset_refuses_a_degree_outside_the_limit(degree, words):
+    with pytest.raises(ValueError, match=f"^degree must be in 1..16, got {degree}$"):
+        PermSet(degree, words)
+
+
 def test_right_multiplication_matches_composition():
     for n in range(2, 6):
         words = list(itertools.permutations(range(1, n + 1)))
@@ -205,6 +213,23 @@ def test_from_words_refuses_a_word_that_is_no_permutation(words, degree, word):
     message = f"not a permutation of 1..{degree}: {word!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         PermGroup.from_words(words, degree)
+
+
+@pytest.mark.parametrize(
+    "words, degree",
+    [
+        # a 17-point transposition once reached _times' value table and died
+        # with IndexError; the degree-0 set was once a group of order 1
+        ([tuple(range(1, 18)), (2, 1) + tuple(range(3, 18))], 17),
+        ([()], 0),
+    ],
+)
+def test_from_words_refuses_a_degree_outside_the_limit(words, degree):
+    message = f"degree must be in 1..16, got {degree}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        PermGroup.from_words(words, degree)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        PermGroup.closure(words[-1:], degree)
 
 
 def test_named_groups():

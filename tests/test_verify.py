@@ -1,9 +1,11 @@
+import itertools
 import json
 import random
 
 import pytest
 
 import permpat as pp
+from permpat import galois as galois_mod
 from permpat import groups as groups_mod
 from permpat import partitions as parts
 from permpat import perms as perms_mod
@@ -155,6 +157,12 @@ def _empty_comp(s, n, **kwargs):
     return pp.PermSet(n, set())
 
 
+def _complement_comp(s, n, **kwargs):
+    # every degree-n word outside the true level: inclusions turn around
+    level = galois_mod.comp_set(s, n, **kwargs).word_set
+    return pp.PermSet(n, set(itertools.permutations(range(1, n + 1))) - level)
+
+
 @pytest.mark.parametrize(
     "module, name, tampered, check_id, counterexample",
     [
@@ -176,6 +184,10 @@ def _empty_comp(s, n, **kwargs):
          {"group": "gens:5:(1 2 3 4 5)", "family": "cyclic"}),
         (verify_mod, "comp_set", _empty_comp, "law-comp-direct-agreement",
          {"l": 2, "m": 4, "set": ["12", "21"]}),
+        (verify_mod, "comp_set", _complement_comp, "law-galois-monotonicity",
+         {"kind": "comp", "l": 3, "n": 6}),
+        (verify_mod, "comp_set", _complement_comp, "law-galois-transitivity",
+         {"l": 3, "m": 5, "n": 6}),
         # Young subgroups against the block-fixing filter
         (verify_mod, "young_subgroup", lambda p, *args: pp.trivial_group(p.size),
          "law-young-join-generation", {"partition": "1,2"}),
