@@ -122,27 +122,21 @@ def _alternating_next_group(n: int, element_cap: int = DEFAULT_ELEMENT_CAP) -> P
     is odd.  The interchanged half exists only at even target degree.
     """
     m = n + 1
-    odds = list(range(1, m + 1, 2))
-    evens = list(range(2, m + 1, 2))
-    words: list[Word] = []
-
-    def interleave(first: tuple[int, ...], second: tuple[int, ...]) -> Word:
-        w = [0] * m
-        w[0::2] = first
-        w[1::2] = second
-        return tuple(w)
-
-    for po in itertools.permutations(odds):
-        for pe in itertools.permutations(evens):
-            w = interleave(po, pe)
-            if _is_even_word(w):
-                words.append(w)
+    odds = tuple(range(1, m + 1, 2))
+    evens = tuple(range(2, m + 1, 2))
+    # values at positions 1, 3, 5, ...; values at positions 2, 4, ...; word even
+    halves = [(odds, evens, True)]
     if m % 2 == 0:
-        for pe in itertools.permutations(evens):
-            for po in itertools.permutations(odds):
-                w = interleave(pe, po)
-                if not _is_even_word(w):
-                    words.append(w)
+        halves.append((evens, odds, False))
+    words: list[Word] = []
+    for first, second, even in halves:
+        for p1 in itertools.permutations(first):
+            for p2 in itertools.permutations(second):
+                w = [0] * m
+                w[0::2] = p1
+                w[1::2] = p2
+                if _is_even_word(w) == even:
+                    words.append(tuple(w))
     return PermGroup.from_words(words, m, element_cap)
 
 
@@ -151,6 +145,7 @@ def _alternating_next_group(n: int, element_cap: int = DEFAULT_ELEMENT_CAP) -> P
 
 @lru_cache(maxsize=1)
 def _table_degree6() -> tuple[tuple[PermGroup, tuple[Word, ...]], ...]:
+    """Degree-6 primitive groups paired with the generators of their level."""
     def grp(*cycles: str) -> PermGroup:
         return PermGroup.closure([parse_perm(c, 6).word for c in cycles], 6)
 
@@ -158,14 +153,11 @@ def _table_degree6() -> tuple[tuple[PermGroup, tuple[Word, ...]], ...]:
         return tuple(parse_perm(t).word for t in texts)
 
     return (
-        (grp("(1 2 3 4)", "(3 4 5 6)"),
-         words("1234567", "2154376", "6734512", "7654321")),
-        (grp("(1 2 3 4)", "(2 3 4 5 6)"),
-         words("1234567", "1276543", "1543276", "1567234")),
-        (grp("(1 2 3 4 5)", "(3 4 5 6)"),
-         words("1234567", "2165437", "4561237", "5432167")),
-        (grp("(1 2 3 4 5)", "(1 3 4)(2 5 6)"), words("1234567", "5432167")),
-        (grp("(2 3 4 5 6)", "(1 2 5)(3 4 6)"), words("1234567", "1276543")),
+        (grp("(1 2 3 4)", "(3 4 5 6)"), words("2154376", "7654321")),
+        (grp("(1 2 3 4)", "(2 3 4 5 6)"), words("1276543", "1543276")),
+        (grp("(1 2 3 4 5)", "(3 4 5 6)"), words("2165437", "5432167")),
+        (grp("(1 2 3 4 5)", "(1 3 4)(2 5 6)"), words("5432167")),
+        (grp("(2 3 4 5 6)", "(1 2 5)(3 4 6)"), words("1276543")),
     )
 
 
@@ -214,7 +206,12 @@ def _reversal_young_shape(g: PermGroup, element_cap: int) -> parts.Partition | N
     """A partition whose Young subgroup together with the reversal equals
     ``g`` and satisfies the shape needed for an exact level formula:
     an interval partition, symmetric under reversal, with no two consecutive
-    nontrivial blocks.  None when ``g`` is not of that shape."""
+    nontrivial blocks.  None when ``g`` is not of that shape.
+
+    ``g`` must hold the reversal.  The reversal then maps each orbit onto
+    itself, and each maximal run too, since it keeps adjacent points
+    adjacent; on the split candidate it only swaps the two middle
+    singletons.  So every candidate is symmetric under reversal."""
     n = g.degree
     gamma = parts.max_intervals(g.orbits())
     candidates = [gamma]
@@ -225,8 +222,6 @@ def _reversal_young_shape(g: PermGroup, element_cap: int) -> parts.Partition | N
             split += [(n // 2,), (n // 2 + 1,)]
             candidates.append(parts.Partition.from_blocks(split))
     for pi in candidates:
-        if parts.reverse_partition(pi) != pi:
-            continue
         if parts.has_consecutive_nontrivial_blocks(pi):
             continue
         if g.order != 2 * _young_order(pi):
@@ -291,9 +286,9 @@ def _value_imprimitive(g, i, element_cap):
 
 
 def _primitive_row(g: PermGroup) -> tuple[Word, ...] | None:
-    """The table row that pins the level above a primitive group: at degree 6
-    the words of that level, elsewhere the single generator of the level above
-    the one interval-dihedral subgroup of ``g``.  None when no row matches."""
+    """The generators of the level above a primitive group, from the table
+    row that pins it: at degree 6 the row of ``g`` itself, elsewhere the row
+    of the one interval-dihedral subgroup of ``g``.  None when no row matches."""
     n = g.degree
     if n == 6:
         return next((words for table_group, words in _table_degree6() if table_group == g), None)
@@ -309,11 +304,9 @@ def _value_primitive(g, i, element_cap):
     row = _primitive_row(g)
     if row is None or i > 1:
         return None
-    if g.degree == 6:
-        level = PermGroup.from_words(row, 7, element_cap)
-        return level, None, None, ("comp-primitive-degree6-table",)
     level = PermGroup.closure(row, g.degree + 1, element_cap)
-    return level, None, None, ("comp-primitive-interval-dihedral",)
+    cite = "comp-primitive-degree6-table" if g.degree == 6 else "comp-primitive-interval-dihedral"
+    return level, None, None, (cite,)
 
 
 class Classification:

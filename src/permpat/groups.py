@@ -152,9 +152,9 @@ class PermSet:
         _check_degree(degree)
         self.degree = degree
         self.word_set = frozenset(words)
-        for w in self.word_set:
-            if len(w) != degree:
-                raise ValueError(f"member degree {len(w)} != {degree}")
+        if set(map(len, self.word_set)) - {degree}:
+            bad = next(len(w) for w in self.word_set if len(w) != degree)
+            raise ValueError(f"member degree {bad} != {degree}")
 
     def __iter__(self) -> Iterator[Perm]:
         return (Perm(w) for w in sorted(self.word_set))

@@ -332,3 +332,30 @@ def test_classifier_imports_nothing_from_the_oracle():
             assert all(alias.name != "galois" for alias in node.names)
         elif isinstance(node, ast.Import):
             assert all("galois" not in alias.name.split(".") for alias in node.names)
+
+
+def _reversal_shape_candidates(g):
+    # the candidates _reversal_young_shape tries: the maximal runs of the
+    # orbits and, when the middle two points form one run, that run split
+    n = g.degree
+    gamma = pp.max_intervals(g.orbits())
+    candidates = [gamma]
+    if n % 2 == 0 and gamma.block_of(n // 2) == (n // 2, n // 2 + 1):
+        split = [b for b in gamma.blocks if b != (n // 2, n // 2 + 1)]
+        candidates.append(pp.Partition.from_blocks(split + [(n // 2,), (n // 2 + 1,)]))
+    return candidates
+
+
+def test_reversal_shape_candidates_are_symmetric_under_reversal(degree6_catalog):
+    # _reversal_young_shape runs only on groups that hold the reversal, and
+    # tests no reversal symmetry of its candidates: every one is symmetric
+    seen = Counter()
+    for g in (*pp.enumerate_subgroups(4), *pp.enumerate_subgroups(5), *degree6_catalog):
+        if pp.descending(g.degree).word not in g.word_set:
+            continue
+        candidates = _reversal_shape_candidates(g)
+        seen[g.degree, len(candidates)] += 1
+        for pi in candidates:
+            assert pp.reverse_partition(pi) == pi, (describe_group(g), str(pi))
+    # (degree, candidates): groups holding the reversal, with and without a split
+    assert seen == {(4, 1): 7, (4, 2): 2, (5, 1): 19, (6, 1): 68, (6, 2): 31}

@@ -553,13 +553,15 @@ def _stabilizer_of_one(n):
     return frozenset((1,) + w for w in itertools.permutations(range(2, n + 1)))
 
 
-@pytest.mark.parametrize("case", ["coset", "subgroup", "index"])
+@pytest.mark.parametrize("case", ["coset", "subgroup", "index", "over"])
 def test_from_words_coset_walk_on_sets_that_are_no_groups(case, monkeypatch):
     # G, the stabilizer of 1, is reached from H = the stabilizer of 1 and 2 by
     # g = 1324...n; each set W has |W| = m |H| with m <= n, so the walk runs,
     # but W is no group: a coset of H leaves W, H itself does, or <H, g> has
-    # one coset fewer than m
-    n = 7 if case == "index" else 6
+    # one coset fewer than m.  In the last case H is G and W = G u G (1 2),
+    # so g = 2134...n gives m = 2, and the walk gives up at the third of the
+    # n cosets of <H, g> = S_n
+    n = {"index": 7, "over": 5}.get(case, 6)
     group = _stabilizer_of_one(n)
     subgroup = frozenset(w for w in group if w[1] == 2)
     outside = sorted(w for w in itertools.permutations(range(1, n + 1)) if w[0] != 1)
@@ -567,13 +569,22 @@ def test_from_words_coset_walk_on_sets_that_are_no_groups(case, monkeypatch):
         wset = group - {max(group)} | {outside[-1]}
     elif case == "subgroup":
         wset = group - {max(subgroup)} | {outside[-1]}
-    else:
+    elif case == "index":
         wset = group | set(outside[: len(subgroup)])
+    else:
+        subgroup = group
+        wset = group | {(w[1], w[0], *w[2:]) for w in group}
     m = len(wset) // len(subgroup)
     assert m * len(subgroup) == len(wset) and m <= n
     walks, _ = _spy_on_closure(monkeypatch)
-    with pytest.raises(ValueError, match="is not closed"):
-        PermGroup.from_words(wset, n)
+    message = (
+        f"element set of size {len(wset)} is not closed "
+        f"(closure has {math.factorial(n)} elements)"
+    )
+    for build in (PermGroup.from_words, _from_words_reference):
+        with pytest.raises(ValueError) as exc:
+            build(wset, n)
+        assert str(exc.value) == message
     assert walks == [(m, False)]
     _assert_from_words_matches_reference(wset, n)
 

@@ -163,42 +163,45 @@ def _complement_comp(s, n, **kwargs):
     return pp.PermSet(n, set(itertools.permutations(range(1, n + 1))) - level)
 
 
-@pytest.mark.parametrize(
-    "module, name, tampered, check_id, counterexample",
-    [
-        # exhaustive permutations
-        (perms_mod, "parity", lambda p: "even", "law-parity-deletion", {"perm": "21"}),
-        # partitions
-        (parts, "is_interval_partition", lambda p: False, "law-derived-shape",
-         {"partition": "1", "derived": "1,2"}),
-        (parts, "mu", lambda p: 0, "law-measure-decrement", {"partition": "1", "mu": [0, 0]}),
-        # subgroup catalogs
-        (verify_mod, "young_subgroup", lambda p, *args: pp.trivial_group(p.size),
-         "law-orbit-minimality", {"group": "gens:3:(2 3)", "orbits": "1|2,3"}),
-        # Galois operators
-        (verify_mod, "comp_set", _empty_comp, "law-galois-adjunction",
-         {"kind": "closure", "l": 4, "n": 5}),
-        (verify_mod, "comp_set", _empty_comp, "law-descending-lift",
-         {"group": "gens:5:(1 5)(2 4)", "m": 6}),
-        (verify_mod, "comp_set", _empty_comp, "law-cyclic-dihedral-lift",
-         {"group": "gens:5:(1 2 3 4 5)", "family": "cyclic"}),
-        (verify_mod, "comp_set", _empty_comp, "law-comp-direct-agreement",
-         {"l": 2, "m": 4, "set": ["12", "21"]}),
-        (verify_mod, "comp_set", _complement_comp, "law-galois-monotonicity",
-         {"kind": "comp", "l": 3, "n": 6}),
-        (verify_mod, "comp_set", _complement_comp, "law-galois-transitivity",
-         {"l": 3, "m": 5, "n": 6}),
-        # Young subgroups against the block-fixing filter
-        (verify_mod, "young_subgroup", lambda p, *args: pp.trivial_group(p.size),
-         "law-young-join-generation", {"partition": "1,2"}),
-        # the join against the closure of both Young subgroups
-        (parts, "join", lambda p, q: p, "law-young-join-generation",
-         {"p": "1,2|3", "q": "1,3|2"}),
-        # interwoven intervals against their disjointness
-        (parts, "interwoven", lambda p, a, b: True, "law-interwoven-disjoint",
-         {"partition": "1,2,3", "intervals": [[1, 2], [1, 3]]}),
-    ],
-)
+_TAMPERS = [
+    # exhaustive permutations
+    (perms_mod, "parity", lambda p: "even", "law-parity-deletion", {"perm": "21"}),
+    # partitions
+    (parts, "is_interval_partition", lambda p: False, "law-derived-shape",
+     {"partition": "1", "derived": "1,2"}),
+    (parts, "mu", lambda p: 0, "law-measure-decrement", {"partition": "1", "mu": [0, 0]}),
+    # subgroup catalogs
+    (verify_mod, "young_subgroup", lambda p, *args: pp.trivial_group(p.size),
+     "law-orbit-minimality", {"group": "gens:3:(2 3)", "orbits": "1|2,3"}),
+    # Galois operators
+    (verify_mod, "comp_set", _empty_comp, "law-galois-adjunction",
+     {"kind": "closure", "l": 4, "n": 5}),
+    (verify_mod, "comp_set", _empty_comp, "law-descending-lift",
+     {"group": "gens:5:(1 5)(2 4)", "m": 6}),
+    (verify_mod, "comp_set", _empty_comp, "law-cyclic-dihedral-lift",
+     {"group": "gens:5:(1 2 3 4 5)", "family": "cyclic"}),
+    (verify_mod, "comp_set", _empty_comp, "law-comp-direct-agreement",
+     {"l": 2, "m": 4, "set": ["12", "21"]}),
+    (verify_mod, "comp_set", _complement_comp, "law-galois-monotonicity",
+     {"kind": "comp", "l": 3, "n": 6}),
+    (verify_mod, "comp_set", _complement_comp, "law-galois-transitivity",
+     {"l": 3, "m": 5, "n": 6}),
+    # Young subgroups against the block-fixing filter
+    (verify_mod, "young_subgroup", lambda p, *args: pp.trivial_group(p.size),
+     "law-young-join-generation", {"partition": "1,2"}),
+    # the join against the closure of both Young subgroups
+    (parts, "join", lambda p, q: p, "law-young-join-generation",
+     {"p": "1,2|3", "q": "1,3|2"}),
+    # interwoven intervals against their disjointness
+    (parts, "interwoven", lambda p, a, b: True, "law-interwoven-disjoint",
+     {"partition": "1,2,3", "intervals": [[1, 2], [1, 3]]}),
+    # block systems against the exhaustive filter of invariant partitions
+    (groups_mod.PermGroup, "block_systems", lambda self: [], "law-block-system-soundness",
+     {"group": "gens:4:(1 4)(2 3);(1 2)(3 4)", "primitive": True}),
+]
+
+
+@pytest.mark.parametrize("module, name, tampered, check_id, counterexample", _TAMPERS)
 def test_tampered_library_fails_its_law_suite(
     monkeypatch, module, name, tampered, check_id, counterexample
 ):
@@ -206,6 +209,31 @@ def test_tampered_library_fails_its_law_suite(
     report = _run_law_suite(check_id)
     assert report.status == "fail"
     assert json.loads(json.dumps(report.counterexample)) == counterexample
+
+
+# the law suites no tamper fails yet; each new tamper takes its suite off
+# this list, and a new suite lands with a tamper
+_SUITES_WITHOUT_A_TAMPER = {
+    "law-involvement-partial-order",
+    "law-pattern-interpolation",
+    "law-jump-characterization",
+    "law-dihedral-consecutive",
+    "law-symmetry-involvement",
+    "law-adjacent-quotient-cycle",
+    "law-cycle-prefix-generation",
+    "law-lagrange",
+    "law-derived-meet-form",
+    "law-derived-reversal-symmetry",
+}
+
+
+def test_every_law_suite_has_a_tamper_or_is_listed_without_one():
+    ids = [check_id for check_id, _, _ in verify_mod._LAW_SUITES]
+    # law-product-containment's tamper is test_tampered_compose_is_caught
+    tampered = {row[3] for row in _TAMPERS} | {"law-product-containment"}
+    assert len(ids) == len(set(ids))
+    assert not tampered & _SUITES_WITHOUT_A_TAMPER
+    assert set(ids) == tampered | _SUITES_WITHOUT_A_TAMPER
 
 
 def test_young_join_closes_each_unordered_pair_once(monkeypatch):
