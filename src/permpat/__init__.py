@@ -26,7 +26,6 @@ from .perms import (
     parity,
     parse_perm,
     pattern,
-    power,
     reverse,
 )
 from .partitions import (

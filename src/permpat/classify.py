@@ -22,6 +22,7 @@ from . import partitions as parts
 from .groups import (
     DEFAULT_ELEMENT_CAP,
     PermGroup,
+    _young_generators,
     _young_order,
     dihedral_interval_group,
     natural_cyclic_group,
@@ -191,8 +192,7 @@ def _autpi_level(pi: parts.Partition, i: int, element_cap: int) -> PermGroup:
     n = pi.size
     symmetric_under_reversal = parts.reverse_partition(pi) == pi
     if i == 1:
-        base = young_subgroup(parts.derive(pi), element_cap)
-        gens = list(base.generator_words)
+        gens = list(_young_generators(parts.derive(pi), element_cap))
         gens += [p.word for p in parts.interwoven_generators(pi)]
         if symmetric_under_reversal:
             gens.append(descending(n + 1).word)

@@ -128,7 +128,7 @@ def iter_levels(
     """
     top = s.degree + depth
     if depth > 0 and top > MAX_DEGREE:
-        raise CapExceeded(f"degree {top} exceeds the enumeration cap of {MAX_DEGREE}")
+        raise CapExceeded(f"level degree {top} exceeds the cap {MAX_DEGREE}")
     words: AbstractSet[Word] = s.word_set
     for k in range(s.degree, top):
         words = _comp_step(words, k, element_cap)

@@ -20,6 +20,7 @@ exactly m cosets, and each coset is then looked up in the set.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -578,11 +579,6 @@ def _is_prime_power(k: int) -> bool:
     return False
 
 
-#: Each degree's subgroups as (generator words, element set) pairs, in the
-#: order ``enumerate_subgroups`` returns them, kept from its first call.
-_SUBGROUP_CATALOG: dict[int, list[tuple[tuple[Word, ...], frozenset[Word]]]] = {}
-
-
 def enumerate_subgroups(n: int) -> list[PermGroup]:
     """Every subgroup of the degree-n symmetric group, degree capped at 6.
 
@@ -590,16 +586,19 @@ def enumerate_subgroups(n: int) -> list[PermGroup]:
     new ``PermGroup`` objects over the same generator tuples and frozensets,
     so what one caller caches on a group (its orbits) no other caller sees.
     """
+    _check_subgroup_degree(n)
+    return [PermGroup(n, gens, elems) for gens, elems in _subgroup_catalog(n)]
+
+
+def _check_subgroup_degree(n: int) -> None:
     if not 1 <= n <= MAX_SUBGROUP_DEGREE:
         raise ValueError(f"subgroup enumeration is capped at degree {MAX_SUBGROUP_DEGREE}")
-    catalog = _SUBGROUP_CATALOG.get(n)
-    if catalog is None:
-        catalog = _SUBGROUP_CATALOG[n] = _subgroup_catalog(n)
-    return [PermGroup(n, gens, elems) for gens, elems in catalog]
 
 
-def _subgroup_catalog(n: int) -> list[tuple[tuple[Word, ...], frozenset[Word]]]:
-    """The subgroups of S_n as (generators, elements) pairs.
+@functools.lru_cache(maxsize=None)
+def _subgroup_catalog(n: int) -> tuple[tuple[tuple[Word, ...], frozenset[Word]], ...]:
+    """The subgroups of S_n as (generators, elements) pairs, in the order
+    ``enumerate_subgroups`` returns them; built on first use and kept.
 
     Seeds with the cyclic subgroups generated by prime-power-order elements
     and repeatedly extends by one such element, closing and deduplicating by
@@ -653,4 +652,4 @@ def _subgroup_catalog(n: int) -> list[tuple[tuple[Word, ...], frozenset[Word]]]:
     word = {w: w for w in full}.__getitem__
     catalog = [(gens, frozenset(set(map(word, elems)))) for elems, gens in seen.items()]
     catalog.sort(key=lambda c: (len(c[1]), sorted(c[1])))
-    return catalog
+    return tuple(catalog)

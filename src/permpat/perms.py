@@ -207,19 +207,6 @@ def inverse(p: Perm) -> Perm:
     return Perm(_inverse_word(p.word))
 
 
-def power(p: Perm, k: int) -> Perm:
-    """k-th compositional power; k may be negative or zero."""
-    word = p.word if k >= 0 else _inverse_word(p.word)
-    k = abs(k)
-    acc = tuple(range(1, p.degree + 1))
-    while k:
-        if k & 1:
-            acc = _compose_words(word, acc)
-        word = _compose_words(word, word)
-        k >>= 1
-    return Perm(acc)
-
-
 # ---------------------------------------------------------------------------
 # text formats
 
@@ -243,7 +230,7 @@ def parse_perm(text: str, degree: int | None = None) -> Perm:
         if not text.isdigit():
             raise ValueError(f"malformed one-line word: {text!r}")
         values = [int(c) for c in text]
-    p = _perm_from_values(values)
+    p = Perm(values)
     if degree is not None and p.degree != degree:
         raise ValueError(f"word has degree {p.degree}, expected {degree}")
     return p
@@ -254,18 +241,6 @@ def _parse_int(token: str) -> int:
         return int(token)
     except ValueError:
         raise ValueError(f"malformed token: {token!r}") from None
-
-
-def _perm_from_values(values: list[int]) -> Perm:
-    n = len(values)
-    if sorted(values) != list(range(1, n + 1)):
-        seen = set()
-        for v in values:
-            if v in seen:
-                raise ValueError(f"repeated value {v}")
-            seen.add(v)
-        raise ValueError(f"values must be exactly 1..{n}: {values}")
-    return Perm(values)
 
 
 def _parse_cycles(text: str, degree: int) -> Perm:

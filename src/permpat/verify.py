@@ -26,6 +26,7 @@ from .groups import (
     DEFAULT_ELEMENT_CAP,
     PermGroup,
     PermSet,
+    _check_subgroup_degree,
     describe_group,
     enumerate_subgroups,
     natural_cyclic_group,
@@ -48,11 +49,7 @@ class Report(NamedTuple):
     elapsed_ms: int = 0
 
     def to_json(self) -> dict:
-        out = {"check_id": self.check_id, "scope": self.scope, "status": self.status}
-        if self.counterexample is not None:
-            out["counterexample"] = self.counterexample
-        out["elapsed_ms"] = self.elapsed_ms
-        return out
+        return {k: v for k, v in self._asdict().items() if v is not None}
 
 
 def _run_check(check_id: str, scope: str, fn: Callable[[], dict | None]) -> Report:
@@ -222,9 +219,11 @@ def verify_catalog(
 ) -> list[Report]:
     """Run prediction and onset checks over every subgroup of degree ``n``."""
     # refuse up front what every group would refuse after the enumeration:
-    # no level to compare, or S_n (which enumerate_subgroups builds) past the cap
+    # no level to compare, a degree with no catalog (a usage error under any
+    # cap), or S_n (which enumerate_subgroups builds) past the cap
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    _check_subgroup_degree(n)
     if math.factorial(n) > element_cap:
         raise CapExceeded(f"|S_{n}| = {math.factorial(n)} exceeds the cap {element_cap}")
     reports = [
@@ -309,9 +308,9 @@ def _one_jump_family(n: int) -> set[Word]:
         for base in (perms_mod.dja(n, length), perms_mod.ajd(n, length)):
             out.add(base)
             out.add(perms_mod.compose(d, base))
-    z = natural_cycle(n)
     for j in range(1, n):
-        zj = perms_mod.power(z, j)
+        # z^j for the natural cycle z: the rotation j+1 ... n 1 ... j
+        zj = Perm((*range(j + 1, n + 1), *range(1, j + 1)))
         out.add(zj)
         out.add(perms_mod.compose(d, zj))
     # at degree 2 the cycle powers collapse into the jump-free words
@@ -319,6 +318,12 @@ def _one_jump_family(n: int) -> set[Word]:
 
 
 def _law_jump_characterization(_: random.Random) -> dict | None:
+    """A permutation has no jump exactly when it is ascending or descending,
+    and exactly one when it is a dja or ajd word with a block of length
+    2..n-2, a power of the natural cycle, or the complement of one of these.
+    The independent side is that family, written out by the constructors and
+    as rotations, which read no adjacent values, against ``jumps`` on every
+    permutation of degree 2..7."""
     for n in range(2, 8):
         none_expected = {ascending(n).word, descending(n).word}
         one_expected = _one_jump_family(n)
@@ -333,6 +338,11 @@ def _law_jump_characterization(_: random.Random) -> dict | None:
 
 
 def _law_dihedral_criterion(_: random.Random) -> dict | None:
+    """A permutation lies in the natural dihedral group D_n exactly when
+    every two adjacent values differ by 1 modulo n.  The independent side is
+    that test on adjacent values, against the closure of
+    ``natural_dihedral_group``'s generators, on every permutation of degree
+    3..7."""
     for n in range(3, 8):
         dn = natural_dihedral_group(n)
         for word in itertools.permutations(range(1, n + 1)):
@@ -368,8 +378,13 @@ def _law_symmetry_involvement(rng: random.Random) -> dict | None:
 
 
 def _law_adjacent_quotient(_: random.Random) -> dict | None:
-    # the quotient is a single cycle on the value interval between p(i) and
-    # p(i+1): shift-up when ascending across the gap, shift-down otherwise
+    """The pattern left by deleting position i+1, times the inverse of the
+    one left by deleting position i, is one cycle on the values from the
+    smaller of p(i), p(i+1) up to one below the larger: shift-up when p
+    ascends across the gap, shift-down otherwise.  The independent side is
+    that cycle, written out from p(i) and p(i+1) alone, against
+    ``adjacent_pattern_quotient`` at every position of every permutation of
+    degree 2..6."""
     for n in range(2, 7):
         for word in itertools.permutations(range(1, n + 1)):
             p = Perm(word)
@@ -391,6 +406,11 @@ def _law_adjacent_quotient(_: random.Random) -> dict | None:
 
 
 def _law_cycle_prefix_generation(_: random.Random) -> dict | None:
+    """The natural cycle (1 2 ... n) and the prefix cycle (1 2 ... m),
+    1 < m < n, generate A_n when m and n are both odd and S_n otherwise.
+    The independent side is the order n!/2 or n!, read off the parity of m
+    and n, against the closure of ``natural_cycle(n)`` and the prefix cycle
+    parsed from cycle notation."""
     for n in range(3, 8):
         for m in range(2, n):
             prefix = perms_mod.parse_perm(

@@ -134,6 +134,14 @@ def test_verify_catalog_refuses_a_catalog_over_the_cap(capsys):
     assert "|S_5| = 120" in err
 
 
+@pytest.mark.parametrize("n", ["0", "10"])
+def test_verify_catalog_past_the_catalogs_is_a_usage_error(capsys, n):
+    # checked before |S_n| against the cap, so the exit code does not hang on the cap
+    code, out, err = run_cli(capsys, "verify", "--catalog", n)
+    assert code == 2 and out == ""
+    assert "subgroup enumeration is capped at degree 6" in err
+
+
 def test_threads_is_a_usage_error():
     # the catalog verifier runs serially; there is no worker-count option
     with pytest.raises(SystemExit) as exc:
@@ -402,10 +410,13 @@ def test_verify_skips_levels_past_the_degree_limit(capsys):
     [
         ("levels", "--group", "C:16", "--depth", "1"),
         ("classify", "--group", "T:10", "--depth", "7"),
+        ("comp", "--group", "C:15", "--to", "17"),
+        ("levels", "--group", "C:15", "--depth", "2"),
     ],
 )
 def test_levels_past_the_degree_limit_are_a_cap(capsys, argv):
-    # the classifier refuses a level of degree 17 with the wording verify skips it with
+    # the classifier and the brute-force walk refuse a level of degree 17
+    # with the wording verify skips it with
     code, out, err = run_cli(capsys, *argv)
     assert code == 3 and out == ""
     assert "level degree 17 exceeds the cap 16" in err

@@ -353,17 +353,6 @@ def test_largest_ab():
     assert pp.young_subgroup(pp.parse_partition("1,2,3|4,5")).largest_ab() == (3, 2)
 
 
-@pytest.fixture
-def fresh_catalog(monkeypatch):
-    """Empties the per-process subgroup memo, so the next enumerate_subgroups
-    call of each degree runs the enumeration; call it again to empty it again."""
-    def empty():
-        monkeypatch.setattr(groups_mod, "_SUBGROUP_CATALOG", {})
-
-    empty()
-    return empty
-
-
 def test_enumerate_subgroups_counts():
     assert len(pp.enumerate_subgroups(1)) == 1
     assert len(pp.enumerate_subgroups(2)) == 2

@@ -7,7 +7,9 @@ and every public function, class, method and property is referenced by
 another part of the library or named in ``PUBLIC_ENTRY_POINTS``.
 Imports sit at module level only and follow the layer order ``LAYERS``, and
 a ``PermGroup`` is constructed directly only where its element set is
-produced or checked by the closure, or is all of S_n.
+produced or checked by the closure, or is all of S_n.  Module state lives
+only in ``functools`` caches: no function declares a name ``global`` or
+assigns through a subscript of a module-level name.
 """
 import ast
 from pathlib import Path
@@ -194,3 +196,42 @@ def test_one_right_multiplication():
     # generator expression
     found = [p.name for p in SRC.glob("*.py") if "x - 1 for x in" in p.read_text()]
     assert not found, f"right multiplication written out in {found}"
+
+
+def _module_names(tree: ast.Module) -> set[str]:
+    """The names a module binds by assignment at module level."""
+    names = set()
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else []
+        if isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def _local_names(fn: ast.AST) -> set[str]:
+    args = fn.args
+    params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+    stored = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    return stored | {a.arg for a in params if a is not None}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_state_lives_only_in_functools_caches(path):
+    # a hand-rolled memo (a module dict filled by a function) would be a
+    # second kind of cache beside the lru_caches
+    tree = ast.parse(path.read_text())
+    module_names = _module_names(tree)
+    found = []
+    for name, fn in _functions(tree):
+        shared = module_names - _local_names(fn)
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Global):
+                found.append(f"{name}: global {', '.join(node.names)}")
+            elif isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                base = node.value
+                while isinstance(base, ast.Subscript):
+                    base = base.value
+                if isinstance(base, ast.Name) and base.id in shared:
+                    found.append(f"{name}: {base.id}[...] assigned")
+    assert not found, f"{path.name} keeps module state by hand: {found}"

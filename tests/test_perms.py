@@ -57,10 +57,6 @@ def test_compose():
 
 def test_inverse_and_power():
     assert pp.inverse(P("2341")) == P("4123")
-    assert pp.power(P("2341"), 4) == P("1234")
-    assert pp.power(P("2341"), 0) == pp.ascending(4)
-    assert pp.power(P("2341"), -1) == P("4123")
-    assert pp.power(P("2341"), 7) == pp.power(P("2341"), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +72,14 @@ def test_parse_one_line():
         P("2,3,5")
     with pytest.raises(ValueError):
         P("")
+
+
+def test_parse_refuses_a_non_permutation_by_the_perm_check():
+    # one check for every parsed word: the one Perm runs
+    with pytest.raises(ValueError, match=r"not a permutation of 1\.\.3: \(2, 2, 1\)"):
+        P("221")
+    with pytest.raises(ValueError, match=r"not a permutation of 1\.\.3: \(2, 3, 5\)"):
+        P("2,3,5")
 
 
 def test_parse_cycles():

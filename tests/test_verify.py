@@ -104,11 +104,10 @@ def test_all_partitions_keeps_its_order():
     assert verify_mod._all_partitions(5) is verify_mod._all_partitions(5)
 
 
-def test_verify_laws_enumerates_each_catalog_once(monkeypatch):
+def test_verify_laws_enumerates_each_catalog_once(monkeypatch, fresh_catalog):
     # perfbench's tracer counts groups.subgroups_found from each enumerate_subgroups
     # result verify gets, so verify keeps all nine calls (726 groups) while
     # the memo in groups runs the real enumeration once per degree
-    monkeypatch.setattr(groups_mod, "_SUBGROUP_CATALOG", {})
     enumerated, returned = [], []
     real_words, real_enumerate = groups_mod._prime_power_order_words, verify_mod.enumerate_subgroups
 
@@ -163,6 +162,8 @@ def _complement_comp(s, n, **kwargs):
     return pp.PermSet(n, set(itertools.permutations(range(1, n + 1))) - level)
 
 
+_true_quotient = perms_mod.adjacent_pattern_quotient
+
 _TAMPERS = [
     # exhaustive permutations
     (perms_mod, "parity", lambda p: "even", "law-parity-deletion", {"perm": "21"}),
@@ -198,6 +199,17 @@ _TAMPERS = [
     # block systems against the exhaustive filter of invariant partitions
     (groups_mod.PermGroup, "block_systems", lambda self: [], "law-block-system-soundness",
      {"group": "gens:4:(1 4)(2 3);(1 2)(3 4)", "primitive": True}),
+    # jumps, the dihedral test and the quotient cycle against families and
+    # cycles written out from the words alone
+    (perms_mod, "jumps", lambda p: (), "law-jump-characterization",
+     {"perm": "132", "jumps": 0, "expected_zero": False}),
+    (verify_mod, "natural_dihedral_group", pp.natural_cyclic_group, "law-dihedral-consecutive",
+     {"perm": "132", "n": 3}),
+    (perms_mod, "adjacent_pattern_quotient", lambda p, i: pp.inverse(_true_quotient(p, i)),
+     "law-adjacent-quotient-cycle", {"perm": "1423", "i": 1, "gamma": "312"}),
+    # the cycle and a prefix cycle against the order their parities give
+    (verify_mod, "natural_cycle", pp.ascending, "law-cycle-prefix-generation",
+     {"n": 3, "m": 2, "order": 2}),
 ]
 
 
@@ -216,11 +228,7 @@ def test_tampered_library_fails_its_law_suite(
 _SUITES_WITHOUT_A_TAMPER = {
     "law-involvement-partial-order",
     "law-pattern-interpolation",
-    "law-jump-characterization",
-    "law-dihedral-consecutive",
     "law-symmetry-involvement",
-    "law-adjacent-quotient-cycle",
-    "law-cycle-prefix-generation",
     "law-lagrange",
     "law-derived-meet-form",
     "law-derived-reversal-symmetry",
