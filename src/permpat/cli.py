@@ -81,10 +81,9 @@ def _load_source(args: argparse.Namespace) -> PermSet:
 
 
 def _set_payload(degree: int, words) -> dict:
-    ws = sorted(words)
-    payload: dict = {"degree": degree, "size": len(ws)}
-    if len(ws) <= PRINT_CAP:
-        payload["elements"] = [format_perm(Perm(w)) for w in ws]
+    payload: dict = {"degree": degree, "size": len(words)}
+    if len(words) <= PRINT_CAP:
+        payload["elements"] = [format_perm(Perm(w)) for w in sorted(words)]
     return payload
 
 

@@ -104,6 +104,7 @@ def _comp_step(
             masks = list(filter(None, masks))
             if not live:
                 return frozenset()
+    del ext, ext_c, keys  # not held at the survivor build's peak
     size = sum(map(int.bit_count, masks))
     if size > element_cap:
         raise CapExceeded(
@@ -123,12 +124,13 @@ def iter_levels(
     built from the one before.
 
     Refuses before building anything when the top level would pass the
-    permutation degree limit ``MAX_DEGREE``; a level holding more than
-    ``element_cap`` words raises before its words are built.
+    permutation degree limit ``MAX_DEGREE``, naming the first degree past
+    it; a level holding more than ``element_cap`` words raises before its
+    words are built.
     """
     top = s.degree + depth
     if depth > 0 and top > MAX_DEGREE:
-        raise CapExceeded(f"level degree {top} exceeds the cap {MAX_DEGREE}")
+        raise CapExceeded(f"level degree {MAX_DEGREE + 1} exceeds the cap {MAX_DEGREE}")
     words: AbstractSet[Word] = s.word_set
     for k in range(s.degree, top):
         words = _comp_step(words, k, element_cap)

@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import permpat as pp
 from permpat import verify as verify_mod
-from permpat.cli import _build_parser, main
+from permpat.cli import PRINT_CAP, _build_parser, _set_payload, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -412,14 +413,42 @@ def test_verify_skips_levels_past_the_degree_limit(capsys):
         ("classify", "--group", "T:10", "--depth", "7"),
         ("comp", "--group", "C:15", "--to", "17"),
         ("levels", "--group", "C:15", "--depth", "2"),
+        ("levels", "--group", "C:10", "--depth", "10"),
+        ("comp", "--group", "C:10", "--to", "20"),
     ],
 )
 def test_levels_past_the_degree_limit_are_a_cap(capsys, argv):
-    # the classifier and the brute-force walk refuse a level of degree 17
-    # with the wording verify skips it with
+    # the classifier and the brute-force walk refuse a level of degree 17,
+    # the first past the cap however far the walk would go, with the wording
+    # verify skips it with
     code, out, err = run_cli(capsys, *argv)
     assert code == 3 and out == ""
     assert "level degree 17 exceeds the cap 16" in err
+
+
+@pytest.mark.parametrize("size", [PRINT_CAP, PRINT_CAP + 1])
+def test_set_payload_lists_elements_up_to_the_print_cap(size):
+    words = frozenset(itertools.islice(itertools.permutations(range(1, 7)), size))
+    payload = _set_payload(6, words)
+    assert payload["size"] == size
+    if size <= PRINT_CAP:
+        assert payload["elements"] == ["".join(map(str, w)) for w in sorted(words)]
+    else:
+        assert "elements" not in payload
+
+
+def test_set_payload_does_not_sort_a_set_it_only_counts():
+    # S_8 is past the print cap: its payload is a size, and no list of its
+    # 40320 words (one pointer each) is built to find it
+    words = pp.symmetric_group(8).word_set
+    tracemalloc.start()
+    try:
+        payload = _set_payload(8, words)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert payload == {"degree": 8, "size": 40320}
+    assert peak < 40320 * 8, peak
 
 
 def test_verify_text_prints_the_counterexample(capsys, monkeypatch):

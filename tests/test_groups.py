@@ -484,15 +484,41 @@ def _assert_from_words_matches_reference(wset, n):
         ), (n, len(wset), cap)
 
 
-@pytest.mark.parametrize("family", ["S", "A", "C", "D"])
+@pytest.mark.parametrize("family", ["S", "A", "C", "D", "SPi"])
 def test_from_words_matches_reference_on_group_levels(family):
     # every level above S_n, A_n, C_n and D_n up to degree 8; the starts leave
     # out A_1, C_1, C_2 and D_1..D_3: they are symmetric groups, whose levels
-    # the S row walks
-    starts = {"S": [1], "C": range(3, 8), "D": range(4, 8)}.get(family, range(2, 8))
-    for n in starts:
-        for k, words in iter_levels(pp.parse_group(f"{family}:{n}"), 8 - n):
+    # the S row walks.  SPi is the Young subgroup of 1|2..n, n = 4..7: every
+    # word of its levels begins with 1 2, so the sorted walk goes one
+    # position deeper than its first bound
+    starts = {"S": [1], "C": range(3, 8), "D": range(4, 8), "SPi": range(4, 8)}
+    for n in starts.get(family, range(2, 8)):
+        text = f"{family}:{n}"
+        if family == "SPi":
+            text = "SPi:1|" + ",".join(map(str, range(2, n + 1)))
+        for k, words in iter_levels(pp.parse_group(text), 8 - n):
+            assert family != "SPi" or all(w[:2] == (1, 2) for w in words)
             _assert_from_words_matches_reference(frozenset(words), k)
+
+
+@st.composite
+def _walk_inputs(draw):
+    """A degree n in 1..7 and a set of permutation words of degree n fixing
+    their first 0..3 points, with a few malformed words: the empty word,
+    other lengths, and the values 0 and n + 1."""
+    n = draw(st.integers(1, 7))
+    fixed = tuple(range(1, draw(st.integers(0, min(3, n))) + 1))
+    perms = st.permutations(range(len(fixed) + 1, n + 1)).map(lambda w: fixed + tuple(w))
+    malformed = st.lists(st.integers(0, n + 1), max_size=n + 2).map(tuple)
+    words = draw(st.lists(perms, max_size=30)) + draw(st.lists(malformed, max_size=4))
+    return n, frozenset(words)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_walk_inputs())
+def test_sorted_walk_is_sorted(case):
+    n, wset = case
+    assert list(groups_mod._sorted_walk(wset, n)) == sorted(wset)
 
 
 def test_from_words_does_not_stop_on_a_closure_of_the_same_size():
@@ -580,7 +606,8 @@ def test_from_words_coset_walk_on_sets_that_are_no_groups(case, monkeypatch):
 
 def test_from_words_holds_no_second_copy_of_the_level():
     # the level above S_7: closing over the stabilizer of 1 and walking its
-    # eight cosets must not build the level's 40320 words again
+    # eight cosets must not build the level's 40320 words again, nor hold a
+    # list of all of them to sort
     ((k, level),) = iter_levels(pp.symmetric_group(7), 1)
     words_bytes = sum(map(sys.getsizeof, level))
     tracemalloc.start()
@@ -590,7 +617,7 @@ def test_from_words_holds_no_second_copy_of_the_level():
     finally:
         tracemalloc.stop()
     assert len(level) == 40320
-    assert peak < words_bytes / 2, (peak, words_bytes)
+    assert peak < words_bytes / 3, (peak, words_bytes)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
