@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 from . import partitions as parts
@@ -34,8 +34,7 @@ from .groups import (
     young_with_reversal,
 )
 from .perms import (
-    MAX_DEGREE,
-    CapExceeded,
+    _check_level_degree,
     _is_even_word,
     ajd,
     descending,
@@ -242,14 +241,13 @@ def _value_alternating(g, i, element_cap):
     return _alternating_next_group(g.degree, element_cap), None, None, cites
 
 
-def _value_intransitive(g, i, element_cap):
+def _value_intransitive(family, g, i, element_cap):
     n = g.degree
     theta = g.orbits()
-    has_desc = descending(n).word in g.word_set
     if g.order == _young_order(theta):  # G lies in the Young subgroup of its orbits
         cites = ("comp-young-derivative",)
-        return _young_level(theta, i, has_desc, element_cap), None, None, cites
-    if has_desc:
+        return _young_level(theta, i, family.with_descending, element_cap), None, None, cites
+    if family.with_descending:
         pi = _reversal_young_shape(g, element_cap)
         if pi is not None:
             return (
@@ -258,8 +256,7 @@ def _value_intransitive(g, i, element_cap):
                 None,
                 ("comp-young-reversal-derivative",),
             )
-    a, b = g.largest_ab()
-    lower = sab_group(n + i, a, b, element_cap)
+    lower = sab_group(n + i, family.a, family.b, element_cap)
     delta_fixes_orbits = all(
         tuple(sorted(n + 1 - x for x in blk)) == blk for blk in theta.blocks
     )
@@ -267,21 +264,18 @@ def _value_intransitive(g, i, element_cap):
     return None, lower, upper, ("comp-orbit-sandwich",)
 
 
-def _value_imprimitive(g, i, element_cap):
-    n = g.degree
-    systems = g.block_systems()
+def _value_imprimitive(family, systems, g, i, element_cap):
     for pi in systems:
         if partition_automorphisms(pi, element_cap) == g:
             cite = (
                 "comp-block-automorphism-step" if i == 1 else "comp-block-automorphism-tail"
             )
             return _autpi_level(pi, i, element_cap), None, None, (cite,)
-    a, b = g.largest_ab()
-    lower = sab_group(n + i, a, b, element_cap)
+    lower = sab_group(g.degree + i, family.a, family.b, element_cap)
     upper_words = frozenset.intersection(
         *(_autpi_level(pi, i, element_cap).word_set for pi in systems)
     )
-    upper = PermGroup.from_words(upper_words, n + i, element_cap)
+    upper = PermGroup.from_words(upper_words, g.degree + i, element_cap)
     return None, lower, upper, ("comp-imprimitive-sandwich",)
 
 
@@ -301,6 +295,8 @@ def _primitive_row(g: PermGroup) -> tuple[Word, ...] | None:
 
 
 def _value_primitive(g, i, element_cap):
+    # searched again per level after __init__ searched it; searching once per
+    # group moves the from_words counts that perfbench/reference.json pins
     row = _primitive_row(g)
     if row is None or i > 1:
         return None
@@ -347,12 +343,12 @@ class Classification:
             family = EventualFamily("cyclic", has_desc)
             bound = 0 if family.matches(g) else 1
         elif not g.is_transitive():
-            kind, rule = ClassKind.INTRANSITIVE, _value_intransitive
             cite, family = None, EventualFamily("sab", has_desc, *g.largest_ab())
+            kind, rule = ClassKind.INTRANSITIVE, partial(_value_intransitive, family)
             bound = parts.mu_ab(g.orbits(), family.a, family.b)
         elif systems := g.block_systems():
-            kind, rule = ClassKind.IMPRIMITIVE, _value_imprimitive
             cite, family = None, EventualFamily("sab", has_desc, *g.largest_ab())
+            kind, rule = ClassKind.IMPRIMITIVE, partial(_value_imprimitive, family, systems)
             bound = min(max(parts.mu_ab(pi, family.a, family.b), 2) for pi in systems)
         else:
             kind, rule = ClassKind.PRIMITIVE, _value_primitive
@@ -368,8 +364,7 @@ class Classification:
         if i < 1:
             raise ValueError("level must be >= 1")
         m = self.group.degree + i
-        if m > MAX_DEGREE:
-            raise CapExceeded(f"level degree {m} exceeds the cap {MAX_DEGREE}")
+        _check_level_degree(m)
         found = self._rule(self.group, i, self.element_cap) if self._rule else None
         if found is None:
             found = self.eventual.group_at(m), None, None, (self._settled_citation,)

@@ -38,7 +38,7 @@ from operator import and_, itemgetter
 from typing import AbstractSet, Iterator
 
 from .groups import DEFAULT_ELEMENT_CAP, PermSet
-from .perms import MAX_DEGREE, CapExceeded, _deletion_tables, _pattern_words
+from .perms import CapExceeded, _check_level_degree, _deletion_tables, _pattern_words
 
 Word = tuple[int, ...]
 
@@ -129,8 +129,7 @@ def iter_levels(
     words are built.
     """
     top = s.degree + depth
-    if depth > 0 and top > MAX_DEGREE:
-        raise CapExceeded(f"level degree {MAX_DEGREE + 1} exceeds the cap {MAX_DEGREE}")
+    _check_level_degree(top)
     words: AbstractSet[Word] = s.word_set
     for k in range(s.degree, top):
         words = _comp_step(words, k, element_cap)

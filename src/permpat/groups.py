@@ -142,32 +142,30 @@ def _sorted_walk(words: Collection[Word], degree: int) -> Iterator[Word]:
     One pass keeps the words below ``(1, .., depth, depth + 2)`` and the
     least word at or above it, ``top``; the kept words and ``top`` are the
     sorted order's head.  When no word reaches the bound, as on a level
-    whose group fixes 1..depth, the pass repeats one position deeper on the
-    kept words.  Only if more words are asked for are those past ``top``
-    put in a heap and popped.  A group's greedy generators mostly lie in
-    that head: on S_9 the head is the 40320 words fixing 1, then 213456789.
+    whose group fixes 1..depth, the pass repeats one position deeper over
+    all the words, keeping no copy.  Only if more words are asked for are
+    those past ``top`` heaped and popped.  A group's greedy generators
+    mostly lie in that head: on S_9, the 40320 words fixing 1, then 213456789.
     """
-    for depth in range(degree):
-        if len(words) < 2:
-            break
-        bound = (*range(1, depth + 1), depth + 2)
-        low: list[Word] = []
-        top = None
-        for w in words:
-            if w < bound:
-                low.append(w)
-            elif top is None or w < top:
-                top = w
-        if top is not None:
-            low.sort()
-            yield from low
-            yield top
-            rest = list(filter(top.__lt__, words))
-            heapq.heapify(rest)
-            while rest:
-                yield heapq.heappop(rest)
-            return
-        words = low
+    if len(words) > 1:
+        for depth in range(degree):
+            bound = (*range(1, depth + 1), depth + 2)
+            low: list[Word] = []
+            top = None
+            for w in words:
+                if w < bound:
+                    low.append(w)
+                elif top is None or w < top:
+                    top = w
+            if top is not None:
+                low.sort()
+                yield from low
+                yield top
+                rest = list(filter(top.__lt__, words))
+                heapq.heapify(rest)
+                while rest:
+                    yield heapq.heappop(rest)
+                return
     yield from sorted(words)
 
 

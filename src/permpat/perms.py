@@ -174,10 +174,7 @@ def _check_permutation(word: tuple[int, ...]) -> None:
     """Refuse a word that is not a permutation of 1..n, n = len(word), with
     1 <= n <= MAX_DEGREE: the check behind ``Perm`` and the group closure."""
     n = len(word)
-    if n < 1:
-        raise ValueError("permutation degree must be at least 1")
-    if n > MAX_DEGREE:
-        raise ValueError(f"degree {n} exceeds the cap of {MAX_DEGREE}")
+    _check_degree(n)
     if sorted(word) != list(range(1, n + 1)):
         raise ValueError(f"not a permutation of 1..{n}: {word!r}")
 
@@ -185,6 +182,11 @@ def _check_permutation(word: tuple[int, ...]) -> None:
 def _check_degree(n: int) -> None:
     if not 1 <= n <= MAX_DEGREE:
         raise ValueError(f"degree must be in 1..{MAX_DEGREE}, got {n}")
+
+
+def _check_level_degree(m: int) -> None:
+    if m > MAX_DEGREE:
+        raise CapExceeded(f"level degree {MAX_DEGREE + 1} exceeds the cap {MAX_DEGREE}")
 
 
 def _check_block(n: int, length: int) -> None:

@@ -36,7 +36,15 @@ from .groups import (
     symmetric_group,
     young_subgroup,
 )
-from .perms import MAX_DEGREE, CapExceeded, Perm, ascending, descending, natural_cycle
+from .perms import (
+    MAX_DEGREE,
+    CapExceeded,
+    Perm,
+    _check_level_degree,
+    ascending,
+    descending,
+    natural_cycle,
+)
 
 Word = tuple[int, ...]
 
@@ -97,10 +105,7 @@ def verify_prediction(
             cx = _compare_level(predict_level(g, i, element_cap=element_cap), words, i)
             if cx is not None:
                 return cx
-        if reachable < depth:
-            raise CapExceeded(
-                f"level degree {g.degree + reachable + 1} exceeds the cap {MAX_DEGREE}"
-            )
+        _check_level_degree(g.degree + depth)
         return None
 
     return _run_check("prediction", scope, run)
@@ -250,6 +255,12 @@ def _random_word_set(rng: random.Random, n: int, max_size: int) -> PermSet:
 
 
 def _law_product_containment(rng: random.Random) -> dict | None:
+    """Every length-l pattern of a product pi tau is a product s t of
+    length-l patterns s of pi and t of tau: the pattern of pi tau at the
+    positions I is that of pi at tau(I) times that of tau at I.  The
+    independent side is the patterns of the one composed word against the
+    products of the factors' patterns; a ``compose`` that moves values
+    fails it."""
     for _ in range(60):
         n = rng.randint(2, 7)
         length = rng.randint(1, n)
@@ -267,6 +278,11 @@ def _law_product_containment(rng: random.Random) -> dict | None:
 
 
 def _law_partial_order(rng: random.Random) -> dict | None:
+    """Involvement is a partial order: reflexive, antisymmetric (two words
+    of one length involve each other only when equal) and transitive.  The
+    independent side is word equality for antisymmetry, and for
+    transitivity a pattern of a pattern of pi, taken by ``pattern`` at
+    positions drawn here, which ``involves`` must find in pi."""
     for _ in range(40):
         n = rng.randint(1, 7)
         pi = _random_perm(rng, n)
@@ -287,6 +303,11 @@ def _law_partial_order(rng: random.Random) -> dict | None:
 
 
 def _law_interpolation(rng: random.Random) -> dict | None:
+    """Involvement interpolates: when sigma of length l lies in tau of
+    length n, every length m from l to n has a pattern of tau that holds
+    sigma, the pattern at an occurrence of sigma and m - l more positions.
+    The independent side is that sigma is drawn from tau's own patterns, so
+    ``involves`` must find it in one of tau's length-m patterns."""
     for _ in range(25):
         n = rng.randint(2, 7)
         tau = _random_perm(rng, n)
@@ -355,6 +376,11 @@ def _law_dihedral_criterion(_: random.Random) -> dict | None:
 
 
 def _law_parity_deletion(_: random.Random) -> dict | None:
+    """Deleting the first point keeps the parity exactly when p(1) is odd:
+    the p(1) - 1 inversions of p(1) with the smaller values go with it.  The
+    independent side is the parity of p(1), read off the word, against
+    ``parity`` of p and of ``delete_point(p, 1)``, on every permutation of
+    degree 2..7."""
     for n in range(2, 8):
         for word in itertools.permutations(range(1, n + 1)):
             p = Perm(word)
@@ -365,6 +391,11 @@ def _law_parity_deletion(_: random.Random) -> dict | None:
 
 
 def _law_symmetry_involvement(rng: random.Random) -> dict | None:
+    """Reversal, complement and inverse keep involvement: tau lies in pi
+    exactly when op(tau) lies in op(pi).  Both sides go through
+    ``involves`` and the same op, so an op that keeps involvement without
+    being the symmetry, such as an identity ``inverse``, passes: the suite
+    has no independent side yet."""
     for _ in range(40):
         n = rng.randint(2, 7)
         k = rng.randint(1, n)
@@ -486,6 +517,10 @@ def _law_orbit_minimality(_: random.Random) -> dict | None:
 
 
 def _law_lagrange(_: random.Random) -> dict | None:
+    """The order of every subgroup of S_n divides n!, for n = 3 and 4.  The
+    independent side is n! itself, against the size of each element set
+    ``enumerate_subgroups`` returns; a set that is no group is seen only
+    when its size divides no n!."""
     for n in (3, 4):
         for g in enumerate_subgroups(n):
             if math.factorial(n) % g.order:
@@ -631,6 +666,11 @@ def _law_interwoven_disjoint(_: random.Random) -> dict | None:
 
 
 def _law_galois_adjunction(rng: random.Random) -> dict | None:
+    """pat and comp between degrees l < n form a Galois connection:
+    pat(comp(S)) <= S and T <= comp(pat(T)), so comp pat comp = comp and
+    pat comp pat = pat.  The independent side is the random sets S and T,
+    which neither operator built; a ``comp_set`` that loses words breaks
+    T <= comp(pat(T))."""
     for _ in range(12):
         l = rng.randint(2, 5)
         n = rng.randint(l + 1, 7)
@@ -688,6 +728,11 @@ def _law_galois_transitive(rng: random.Random) -> dict | None:
 
 
 def _law_descending_lift(_: random.Random) -> dict | None:
+    """A subgroup G of S_5 holds the reversal exactly when its levels at
+    degrees 6 and 7 hold the reversal of their degree, since every pattern
+    of a decreasing word is decreasing.  The independent side is the
+    membership of ``descending(5)`` in G's words, against membership in the
+    brute-force level."""
     for g in enumerate_subgroups(5):
         has = descending(5).word in g.word_set
         for m in (6, 7):
@@ -697,6 +742,11 @@ def _law_descending_lift(_: random.Random) -> dict | None:
 
 
 def _law_cycle_lift(_: random.Random) -> dict | None:
+    """A subgroup G of S_5 contains the natural cyclic group C_5 exactly
+    when its level at degree 6 contains C_6, and D_5 exactly when it
+    contains D_6.  The independent side is the named groups, closed from
+    their generators, tested for containment in G and in the brute-force
+    level."""
     c5, d5 = natural_cyclic_group(5), natural_dihedral_group(5)
     c6, d6 = natural_cyclic_group(6), natural_dihedral_group(6)
     for g in enumerate_subgroups(5):
@@ -709,6 +759,10 @@ def _law_cycle_lift(_: random.Random) -> dict | None:
 
 
 def _law_comp_direct_agreement(rng: random.Random) -> dict | None:
+    """comp(S) at degree m is every permutation of degree m whose length-l
+    patterns all lie in S.  The independent side is that definition as an
+    exhaustive filter of S_m through ``all_patterns``, against the level
+    steps of ``comp_set``."""
     for _ in range(8):
         l = rng.randint(2, 3)
         m = rng.randint(l + 1, 6)

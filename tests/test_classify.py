@@ -99,6 +99,41 @@ def test_predict_worked_partition_shape():
         pp.young_subgroup(pi)
 
 
+def test_library_level_past_the_degree_limit_names_degree_17():
+    # the first degree past the cap, as the CLI and iter_levels name it, not
+    # the degree 20 of the level asked for
+    c = Classification(pp.parse_group("C:10"))
+    with pytest.raises(pp.CapExceeded, match=r"^level degree 17 exceeds the cap 16$"):
+        c.level(10)
+
+
+@pytest.mark.parametrize(
+    "text, cite, calls",
+    [
+        # V4 is imprimitive; its sandwich reads the family and the systems
+        (
+            "gens:4:(1 2)(3 4);(1 3)(2 4)",
+            "comp-imprimitive-sandwich",
+            {"block_systems": 1, "largest_ab": 1},
+        ),
+        ("gens:4:(1 2 3)", "comp-orbit-sandwich", {"largest_ab": 1}),
+    ],
+)
+def test_rules_take_what_the_dispatch_found(monkeypatch, text, cite, calls):
+    g = pp.parse_group(text)
+    counted = Counter()
+    for name in ("block_systems", "largest_ab"):
+        real = getattr(PermGroup, name)
+
+        def counting(self, real=real, name=name):
+            counted[name] += 1
+            return real(self)
+
+        monkeypatch.setattr(PermGroup, name, counting)
+    assert Classification(g).level(1).citations == (cite,)
+    assert counted == calls
+
+
 def test_predict_young_with_reversal():
     # a reversal-symmetric interval partition whose middle blocks are split
     g = pp.parse_group("SPiDesc:1,2|3|4|5,6")

@@ -620,6 +620,26 @@ def test_from_words_holds_no_second_copy_of_the_level():
     assert peak < words_bytes / 3, (peak, words_bytes)
 
 
+def _from_words_peak(words, degree):
+    tracemalloc.start()
+    try:
+        PermGroup.from_words(words, degree)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sorted_walk_keeps_no_copy_of_words_with_a_fixed_prefix():
+    # S_8 acting on the points 2..9: every word fixes 1, so the walk goes one
+    # position deeper than on S_8 itself; it may hold one list of the 40320
+    # words for that, but not a second one beside the words past the head
+    s8 = frozenset(itertools.permutations(range(1, 9)))
+    shifted = frozenset((1, *(x + 1 for x in w)) for w in s8)
+    one_list = len(s8) * 8
+    excess = _from_words_peak(shifted, 9) - _from_words_peak(s8, 8)
+    assert excess < one_list, (excess, one_list)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_generator_sets())
 def test_from_words_matches_reference_on_open_and_closed_sets(case):

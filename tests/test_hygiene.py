@@ -9,7 +9,9 @@ Imports sit at module level only and follow the layer order ``LAYERS``, and
 a ``PermGroup`` is constructed directly only where its element set is
 produced or checked by the closure, or is all of S_n.  Module state lives
 only in ``functools`` caches: no function declares a name ``global`` or
-assigns through a subscript of a module-level name.
+assigns through a subscript of a module-level name.  The level-degree
+refusal and the degree range are each worded once, and every law suite in
+``verify`` has a docstring.
 """
 import ast
 from pathlib import Path
@@ -198,6 +200,17 @@ def test_one_right_multiplication():
     assert not found, f"right multiplication written out in {found}"
 
 
+@pytest.mark.parametrize(
+    "wording",
+    ["level degree {MAX_DEGREE + 1} exceeds the cap {MAX_DEGREE}", "1..{MAX_DEGREE}, got"],
+)
+def test_one_degree_refusal(wording):
+    # the level-degree refusal (perms._check_level_degree) and the degree
+    # range (perms._check_degree) are each written once
+    found = [p.name for p in SRC.glob("*.py") for _ in range(p.read_text().count(wording))]
+    assert found == ["perms.py"], f"{wording!r} written in {found}"
+
+
 def _module_names(tree: ast.Module) -> set[str]:
     """The names a module binds by assignment at module level."""
     names = set()
@@ -235,3 +248,21 @@ def test_module_state_lives_only_in_functools_caches(path):
                 if isinstance(base, ast.Name) and base.id in shared:
                     found.append(f"{name}: {base.id}[...] assigned")
     assert not found, f"{path.name} keeps module state by hand: {found}"
+
+
+def test_every_law_suite_has_a_docstring():
+    # each names its statement and the independent side it is checked against
+    tree = ast.parse((SRC / "verify.py").read_text())
+    (suites,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.AnnAssign) and node.target.id == "_LAW_SUITES"
+    ]
+    names = [row.elts[2].id for row in suites.elts]
+    docs = {
+        node.name: ast.get_docstring(node)
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    missing = [name for name in names if not docs[name]]
+    assert names and not missing, f"law suites without a docstring: {missing}"

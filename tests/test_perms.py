@@ -30,9 +30,10 @@ def test_constructor_validation():
         Perm([1, 1, 2])
     with pytest.raises(ValueError):
         Perm([0, 1])
-    with pytest.raises(ValueError):
-        Perm([])
-    with pytest.raises(ValueError):
+    # the degree range is worded as for a group descriptor such as S:17
+    with pytest.raises(ValueError, match=r"^degree must be in 1\.\.16, got 0$"):
+        Perm(())
+    with pytest.raises(ValueError, match=r"^degree must be in 1\.\.16, got 17$"):
         Perm(range(1, 18))  # above the degree cap
     with pytest.raises(ValueError):
         pp.dja(4, 5)

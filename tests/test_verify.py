@@ -163,17 +163,39 @@ def _complement_comp(s, n, **kwargs):
 
 
 _true_quotient = perms_mod.adjacent_pattern_quotient
+_true_enumerate = verify_mod.enumerate_subgroups
+
+
+def _with_a_five_word_set(n):
+    # five words: no group, and an order that divides neither 3! nor 4!
+    words = itertools.islice(itertools.permutations(range(1, n + 1)), 5)
+    return _true_enumerate(n) + [pp.PermGroup(n, (), words)]
+
+
+def _derive_to_one_block_pair(p):
+    # 1,2|3|...|n+1 for every p: symmetric under reversal only at n = 1
+    return parts.Partition.from_blocks([[1, 2], *([x] for x in range(3, p.size + 2))])
 
 _TAMPERS = [
+    # involvement against word equality and a pattern's own patterns
+    (perms_mod, "involves", lambda tau, pi: True, "law-involvement-partial-order",
+     {"antisymmetry": ["1537264", "3264715"]}),
+    (perms_mod, "involves", lambda tau, pi: tau == pi, "law-pattern-interpolation",
+     {"sigma": "1", "tau": "1423", "m": 2}),
     # exhaustive permutations
     (perms_mod, "parity", lambda p: "even", "law-parity-deletion", {"perm": "21"}),
     # partitions
     (parts, "is_interval_partition", lambda p: False, "law-derived-shape",
      {"partition": "1", "derived": "1,2"}),
     (parts, "mu", lambda p: 0, "law-measure-decrement", {"partition": "1", "mu": [0, 0]}),
+    (parts, "meet", lambda p, q: p, "law-derived-meet-form", {"partition": "1|2"}),
+    (parts, "derive", _derive_to_one_block_pair, "law-derived-reversal-symmetry",
+     {"partition": "1,2", "derived": "1,2|3"}),
     # subgroup catalogs
     (verify_mod, "young_subgroup", lambda p, *args: pp.trivial_group(p.size),
      "law-orbit-minimality", {"group": "gens:3:(2 3)", "orbits": "1|2,3"}),
+    (verify_mod, "enumerate_subgroups", _with_a_five_word_set, "law-lagrange",
+     {"group": "gens:3:", "order": 5}),
     # Galois operators
     (verify_mod, "comp_set", _empty_comp, "law-galois-adjunction",
      {"kind": "closure", "l": 4, "n": 5}),
@@ -226,12 +248,7 @@ def test_tampered_library_fails_its_law_suite(
 # the law suites no tamper fails yet; each new tamper takes its suite off
 # this list, and a new suite lands with a tamper
 _SUITES_WITHOUT_A_TAMPER = {
-    "law-involvement-partial-order",
-    "law-pattern-interpolation",
     "law-symmetry-involvement",
-    "law-lagrange",
-    "law-derived-meet-form",
-    "law-derived-reversal-symmetry",
 }
 
 
