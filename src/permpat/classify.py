@@ -34,6 +34,7 @@ from .groups import (
     young_with_reversal,
 )
 from .perms import (
+    Word,
     _check_level_degree,
     _is_even_word,
     ajd,
@@ -42,8 +43,6 @@ from .perms import (
     natural_cycle,
     parse_perm,
 )
-
-Word = tuple[int, ...]
 
 
 class ClassKind(enum.Enum):
@@ -136,7 +135,7 @@ def _alternating_next_group(n: int, element_cap: int = DEFAULT_ELEMENT_CAP) -> P
                 w[0::2] = p1
                 w[1::2] = p2
                 if _is_even_word(w) == even:
-                    words.append(tuple(w))
+                    words.append(bytes(w))
     return PermGroup.from_words(words, m, element_cap)
 
 

@@ -15,7 +15,7 @@ import sys
 from .classify import Classification, Prediction, predict_level
 from .galois import comp_set, iter_levels, pat_set
 from .groups import DEFAULT_ELEMENT_CAP, PermGroup, PermSet, parse_group
-from .perms import CapExceeded, Perm, format_perm, parse_perm
+from .perms import CapExceeded, Perm, _check_depth, format_perm, parse_perm
 from .verify import verify_catalog, verify_group, verify_laws
 
 PRINT_CAP = 120
@@ -155,8 +155,7 @@ def _prediction_payload(pred: Prediction) -> dict:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    if args.depth < 1:
-        raise ValueError("depth must be >= 1")
+    _check_depth(args.depth)
     g = parse_group(args.group, args.element_cap)
     c = Classification(g, element_cap=args.element_cap)
     levels = []
@@ -233,8 +232,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_levels(args: argparse.Namespace) -> int:
-    if args.depth < 1:
-        raise ValueError("depth must be >= 1")
+    _check_depth(args.depth)
     g = parse_group(args.group, args.element_cap)
     family = predict_level(g, 1).eventual
     rows = []

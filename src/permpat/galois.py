@@ -19,28 +19,28 @@ so one table, mapping each (k-1)-word u to the bitmask of last values v with
 at once.  Peak work and memory are proportional to the level sizes, never to
 (k+1)!.
 
-Every deletion is one ``bytes.translate`` (``perms._deletion_tables``):
-deleting the value c from w is ``bytes(w).translate(table_c, gone_c)``, which
-drops c and lowers the values above it, and the table is keyed by those
-bytes.  The step probes one deleted value c at a time for all live words at
-once: one table widened for c, then a ``map`` of translate, lookup and mask
-``and`` over the words, then the words whose mask emptied are dropped.  When
-the probes end, the masks give the level's size, so the element cap is
-checked before any word is built.  Only the survivors are built, each by one
-``itemgetter`` over lift rows kept per degree, into one frozenset that
-``PermSet`` and ``PermGroup.from_words`` keep without copying.
+Every word is ``bytes``, and every deletion is one ``bytes.translate``
+(``perms._deletion_tables``): deleting the value c from w is
+``w.translate(table_c, gone_c)``, which drops c and lowers the values above
+it, and the table is keyed by the result.  The step probes one deleted value
+c at a time for all live words at once: one table widened for c, then a
+``map`` of translate, lookup and mask ``and`` over the words, then the words
+whose mask emptied are dropped.  When the probes end, the masks give the
+level's size, so the element cap is checked before any word is built.  Only
+the survivors are built, the one for v as ``(w + bytes((k + 1,))).translate(
+lift_v)`` with one lift table per v kept per degree, into one frozenset that
+``PermSet`` and ``PermGroup.from_words`` keep without copying.  The cyclic
+garbage collector does not track ``bytes``, so the build starts no collection.
 """
 from __future__ import annotations
 
 import functools
 from itertools import chain, compress, repeat
-from operator import and_, itemgetter
+from operator import and_
 from typing import AbstractSet, Iterator
 
 from .groups import DEFAULT_ELEMENT_CAP, PermSet
-from .perms import CapExceeded, _check_level_degree, _deletion_tables, _pattern_words
-
-Word = tuple[int, ...]
+from .perms import CapExceeded, Word, _check_level_degree, _deletion_tables, _pattern_words
 
 
 def pat_set(t: PermSet, length: int) -> PermSet:
@@ -51,15 +51,14 @@ def pat_set(t: PermSet, length: int) -> PermSet:
 
 
 @functools.lru_cache(maxsize=None)
-def _lift_rows(k: int, mask: int) -> tuple[tuple[int, ...], ...]:
-    """One row for each v in 1..k+1 whose bit is set in ``mask``: it maps each
-    value x in 1..k to its lift ``x + (x >= v)`` and k + 1 to v, so
-    ``itemgetter(*w, k + 1)(row) == lift(w, v) + (v,)``.  Built on first use
-    and kept."""
+def _lift_tables(k: int) -> tuple[bytes, ...]:
+    """One translate table for each v in 1..k+1, in order: it maps each value
+    x in 1..k to its lift ``x + (x >= v)`` and k + 1 to v, so
+    ``(w + bytes((k + 1,))).translate(table) == lift(w, v) + (v,)``.  Built
+    on first use and kept."""
     return tuple(
-        (0, *(x + (x >= v) for x in range(1, k + 1)), v)
+        bytes((0, *(x + (x >= v) for x in range(1, k + 1)), v, *range(k + 2, 256)))
         for v in range(1, k + 2)
-        if mask >> v & 1
     )
 
 
@@ -69,25 +68,25 @@ def _comp_step(
     """One level up: all (k+1)-words whose single-point deletions all lie in ``words``.
 
     ``ext[u]`` has bit v set iff ``lift(u, v) + (v,)`` is in ``words``, with
-    u the bytes of the (k-1)-word.  Deleting the value c from the candidates
-    above w looks up ``bytes(w).translate(table_c, gone_c)`` in ``ext``
-    widened at c: bits up to c stay and bits from c up move one higher, so
-    bit c lands on both c and c + 1 (see the module docstring); deleting the
-    last point leaves w itself.  The deletions are probed one column
-    c = k..1 at a time, for every live word at once, and the words whose mask
-    empties are dropped after each column.
+    u a (k-1)-word.  Deleting the value c from the candidates above w looks
+    up ``w.translate(table_c, gone_c)`` in ``ext`` widened at c: bits up to
+    c stay and bits from c up move one higher, so bit c lands on both c and
+    c + 1 (see the module docstring); deleting the last point leaves w
+    itself.  The deletions are probed one column c = k..1 at a time, for
+    every live word at once, and the words whose mask empties are dropped
+    after each column.
 
     The masks then count the level, so CapExceeded is raised before any
     word is built when it holds more than ``element_cap`` words.  Each
-    surviving w is lifted by one ``itemgetter(*w, k + 1)`` over the
-    ``_lift_rows`` of its mask, all into one frozenset.
+    surviving w, with k + 1 appended, is translated by the ``_lift_tables``
+    of its mask, all into one frozenset.
     """
     if not words:
         return frozenset()
     if not k:  # the empty word's one lift
-        return frozenset({(1,)})
+        return frozenset({b"\1"})
     tables, gones = _deletion_tables(k, k - 1)
-    live = list(map(bytes, words))
+    live = list(words)
     ext: dict[bytes, int] = {}
     for b in live:
         c = b[-1]
@@ -111,9 +110,11 @@ def _comp_step(
             f"level degree {k + 1} exceeded the element cap of {element_cap} "
             f"({size} words)"
         )
-    rows = {m: _lift_rows(k, m) for m in set(masks)}
+    lifts = _lift_tables(k)
+    rows = {m: tuple(t for v, t in enumerate(lifts, 1) if m >> v & 1) for m in set(masks)}
+    top = bytes((k + 1,))
     return frozenset(
-        chain.from_iterable(map(itemgetter(*b, k + 1), rows[m]) for b, m in zip(live, masks))
+        chain.from_iterable(map((b + top).translate, rows[m]) for b, m in zip(live, masks))
     )
 
 

@@ -2,13 +2,15 @@
 
 No stabilizer chains: every group constructed here is small enough that the
 explicit element set is the cheapest representation, and exact set
-comparison is the dominant query.  A set or group holds its words in one
-frozenset; order is imposed only where it is part of the output or of a
-deterministic choice.  Closures grow one generator at a time by coset
-(Dimino's algorithm) and are guarded by an element cap; exceeding the cap is
-a hard error, never silent truncation.  Every closure starts from the
-identity ``perms.ascending(n)`` and refuses each word it extends by that is
-not a permutation, by the check ``Perm`` runs (``perms._check_permutation``).
+comparison is the dominant query.  A set or group holds its ``bytes`` words
+in one frozenset; order is imposed only where it is part of the output or of
+a deterministic choice.  Every product is one ``bytes.translate``:
+``r.translate(_times(s))`` is the word of s·r, so closures multiply on the
+left and grow one generator at a time by left cosets r H (Dimino's
+algorithm), guarded by an element cap; exceeding the cap is a hard error,
+never silent truncation.  Every closure starts from the identity
+``perms.ascending(n)`` and refuses each word it extends by that is not a
+permutation, by the check ``Perm`` runs (``perms._check_permutation``).
 A set's degree is checked once, by ``perms._check_degree``; group
 constructors check it too.  Every named group but the symmetric
 group is the closure of the generators it states, and a group built from
@@ -26,14 +28,13 @@ import functools
 import heapq
 import itertools
 import math
-from operator import itemgetter
 from typing import Collection, Iterable, Iterator, Sequence
 
 from .partitions import Partition, congruence, end_blocks, parse_partition, refines
 from .perms import (
-    MAX_DEGREE,
     CapExceeded,
     Perm,
+    Word,
     _check_degree,
     _check_permutation,
     _inverse_word,
@@ -46,30 +47,30 @@ from .perms import (
 )
 
 DEFAULT_ELEMENT_CAP = 500_000
-
-Word = tuple[int, ...]
-
-
-#: Position of each value in a word: ``_ZERO_BASED[x] == x - 1``.
-_ZERO_BASED = tuple(range(-1, MAX_DEGREE))
+_IDENTITY_TABLE = bytes(range(256))
 
 
-def _times(s: Word) -> itemgetter:
-    """The right multiplication r -> r·s, the word of x -> r(s(x)), as one
-    C-level lookup.  ``s`` must be a permutation of 1..n with n >= 2: at
-    degree 1 ``itemgetter`` returns a value, not a word."""
-    return itemgetter(*itemgetter(*s)(_ZERO_BASED))
+def _times(s: Word) -> bytes:
+    """The left multiplication by ``s`` as a translate table:
+    ``r.translate(_times(s))`` is s·r, the word of x -> s(r(x)), for every
+    word r of the degree of ``s``."""
+    return b"\0" + s + _IDENTITY_TABLE[len(s) + 1 :]
+
+
+def _coset(r: Word, base: Iterable[Word]) -> Iterator[Word]:
+    """The left coset r H of the words ``base`` of H, lazily."""
+    return map(bytes.translate, base, itertools.repeat(_times(r)))
 
 
 def _extend(elems: set[Word], gens: list[Word], g: Word, element_cap: int) -> None:
     """Grow the group ``elems`` generated by ``gens`` to <gens, g>, in place.
 
     Dimino's coset closure (Butler, LNCS 559, 1991): with H the group before
-    the call, the new group is a union of right cosets H r.  A coset is added
-    whole the first time a product of a representative and a generator lands
+    the call, the new group is a union of left cosets r H.  A coset is added
+    whole the first time a product of a generator and a representative lands
     outside the elements so far, so every element is produced once.  Requires
-    ``g`` not in ``elems`` and every word a permutation (``_times``); appends
-    ``g`` to ``gens``.
+    ``g`` not in ``elems`` and every word a permutation; appends ``g`` to
+    ``gens``.
     """
     gens.append(g)
     base = list(elems)
@@ -77,7 +78,7 @@ def _extend(elems: set[Word], gens: list[Word], g: Word, element_cap: int) -> No
 
     def add_coset(r: Word) -> None:
         reps.append(r)
-        elems.update(map(_times(r), base))
+        elems.update(_coset(r, base))
         if len(elems) > element_cap:
             raise CapExceeded(
                 f"closure exceeded the element cap of {element_cap} "
@@ -85,10 +86,9 @@ def _extend(elems: set[Word], gens: list[Word], g: Word, element_cap: int) -> No
             )
 
     add_coset(g)
-    right = [_times(s) for s in gens]
+    tables = list(map(_times, gens))
     for r in reps:  # grows while it is scanned
-        for times_s in right:
-            prod = times_s(r)
+        for prod in map(r.translate, tables):
             if prod not in elems:
                 add_coset(prod)
 
@@ -98,17 +98,16 @@ def _closes_to(wset: frozenset[Word], elems: set[Word], gens: list[Word], g: Wor
     ``elems`` is the group H = <gens>, without building <gens, g>.
 
     Dimino's coset walk of ``_extend`` with only the representatives kept: a
-    product p lies in the coset H r when p r^-1 is in H.  The walk gives up
+    product p lies in the coset r H when r^-1 p is in H.  The walk gives up
     past m cosets; with exactly m, the cosets (H itself included) are m
     disjoint sets of |H| words, so they are ``wset`` when each lies inside it.
     """
     reps = [g]
-    over = [_times(_inverse_word(g))]  # p -> p·g^-1
-    right = [_times(s) for s in gens + [g]]
+    over = [_times(_inverse_word(g))]  # p -> g^-1·p
+    tables = list(map(_times, gens + [g]))
     for r in reps:  # grows while it is scanned
-        for times_s in right:
-            prod = times_s(r)
-            if prod in elems or any(div(prod) in elems for div in over):
+        for prod in map(r.translate, tables):
+            if prod in elems or not elems.isdisjoint(map(prod.translate, over)):
                 continue
             if len(reps) + 1 == m:
                 return False
@@ -117,7 +116,7 @@ def _closes_to(wset: frozenset[Word], elems: set[Word], gens: list[Word], g: Wor
     return (
         len(reps) + 1 == m
         and wset.issuperset(elems)
-        and all(wset.issuperset(map(_times(r), elems)) for r in reps)
+        and all(wset.issuperset(_coset(r, elems)) for r in reps)
     )
 
 
@@ -139,7 +138,7 @@ def _generate(gens: Iterable[Word], n: int, element_cap: int) -> tuple[set[Word]
 def _sorted_walk(words: Collection[Word], degree: int) -> Iterator[Word]:
     """Yield ``sorted(words)`` lazily, holding no list of all the words.
 
-    One pass keeps the words below ``(1, .., depth, depth + 2)`` and the
+    One pass keeps the words below ``bytes((1, .., depth, depth + 2))`` and the
     least word at or above it, ``top``; the kept words and ``top`` are the
     sorted order's head.  When no word reaches the bound, as on a level
     whose group fixes 1..depth, the pass repeats one position deeper over
@@ -149,7 +148,7 @@ def _sorted_walk(words: Collection[Word], degree: int) -> Iterator[Word]:
     """
     if len(words) > 1:
         for depth in range(degree):
-            bound = (*range(1, depth + 1), depth + 2)
+            bound = bytes((*range(1, depth + 1), depth + 2))
             low: list[Word] = []
             top = None
             for w in words:
@@ -179,7 +178,8 @@ class PermSet:
 
     The set has no stored order: iteration sorts on the way out, so callers
     that print or choose deterministically see sorted words.  A frozenset
-    passed in is kept as it is, not copied (``frozenset(fs) is fs``).
+    passed in is kept as it is, not copied (``frozenset(fs) is fs``).  A
+    member that is not ``bytes``, or of another degree, is refused.
     """
 
     __slots__ = ("degree", "word_set")
@@ -188,7 +188,12 @@ class PermSet:
         _check_degree(degree)
         self.degree = degree
         self.word_set = frozenset(words)
-        if set(map(len, self.word_set)) - {degree}:
+        try:
+            lengths = set(map(bytes.__len__, self.word_set))
+        except TypeError:
+            bad = next(w for w in self.word_set if not isinstance(w, bytes))
+            raise ValueError(f"member {bad!r} is not a bytes word") from None
+        if lengths - {degree}:
             bad = next(len(w) for w in self.word_set if len(w) != degree)
             raise ValueError(f"member degree {bad} != {degree}")
 
@@ -236,6 +241,7 @@ class PermGroup(PermSet):
         for g in generators:
             if len(g) != degree:
                 raise ValueError(f"generator degree {len(g)} != {degree}")
+        PermSet(degree, generators)  # refuses a word that is not bytes
         return cls(degree, generators, _generate(generators, degree, element_cap)[0])
 
     @classmethod
@@ -254,11 +260,11 @@ class PermGroup(PermSet):
         order and heaps the rest on demand, and the walk stops at the first
         extension whose closure equals the set, since no later word could
         extend it; a set that is not a group walks every word.  The degree
-        must be in 1..MAX_DEGREE, as for ``closure``.  Each word the walk
-        extends by must be a permutation of 1..degree, so a member of
-        another degree or a word that repeats a value, never in the closure
-        of permutations, is refused when reached; the set must equal that
-        closure, so no other word is checked.
+        must be in 1..MAX_DEGREE and the words must make a ``PermSet``.  Each
+        word the walk extends by must be a permutation, so a word that
+        repeats a value, never in the closure of permutations, is refused
+        when reached; the set must equal that closure, so no other word is
+        checked.
 
         The extension that would equal the set is never built.  Before
         extending the closure H by the next word g, with m = |W| / |H| a
@@ -277,13 +283,11 @@ class PermGroup(PermSet):
         building one coset costs less than walking them.
         """
         closed = {ascending(degree).word}
-        wset = frozenset(words)
+        wset = PermSet(degree, words).word_set
         size = len(wset)
         gens: list[Word] = []
         for g in _sorted_walk(wset, degree):
             if g not in closed:
-                if len(g) != degree:
-                    raise ValueError(f"member degree {len(g)} != {degree}")
                 _check_permutation(g)
                 m, rest = divmod(size, len(closed))
                 if (
@@ -385,14 +389,14 @@ def symmetric_group(n: int, element_cap: int = DEFAULT_ELEMENT_CAP) -> PermGroup
     _check_degree(n)
     if math.factorial(n) > element_cap:
         raise CapExceeded(f"|S_{n}| = {math.factorial(n)} exceeds the cap {element_cap}")
-    words = itertools.permutations(range(1, n + 1))
+    words = map(bytes, itertools.permutations(range(1, n + 1)))
     gens: tuple[Word, ...]
     if n == 1:
         gens = ()
     elif n == 2:
-        gens = ((2, 1),)
+        gens = (b"\2\1",)
     else:
-        gens = ((2, 1) + tuple(range(3, n + 1)), natural_cycle(n).word)
+        gens = (bytes((2, 1, *range(3, n + 1))), natural_cycle(n).word)
     return PermGroup(n, gens, words)
 
 
@@ -403,13 +407,13 @@ def alternating_group(n: int, element_cap: int = DEFAULT_ELEMENT_CAP) -> PermGro
     if n <= 2:
         gens: tuple[Word, ...] = ()
     else:
-        three = (2, 3, 1) + tuple(range(4, n + 1))
+        three = bytes((2, 3, 1, *range(4, n + 1)))
         if n == 3:
             gens = (three,)
         elif n % 2 == 1:
             gens = (three, natural_cycle(n).word)
         else:
-            gens = (three, (1,) + tuple(range(3, n + 1)) + (2,))
+            gens = (three, bytes((1, *range(3, n + 1), 2)))
     return PermGroup.closure(gens, n, element_cap)
 
 
@@ -434,12 +438,8 @@ def dihedral_interval_group(n: int, a: int, b: int) -> PermGroup:
         raise ValueError(f"need 1 <= a < b <= n, got a={a}, b={b}, n={n}")
     k = b - a + 1
     inner = natural_dihedral_group(k)
-    words = []
-    for w in inner.word_set:
-        full = list(range(1, n + 1))
-        for i, v in enumerate(w):
-            full[a - 1 + i] = v + a - 1
-        words.append(tuple(full))
+    head, tail = bytes(range(1, a)), bytes(range(b + 1, n + 1))
+    words = [head + bytes(v + a - 1 for v in w) + tail for w in inner.word_set]
     return PermGroup.from_words(words, n)
 
 
@@ -506,14 +506,14 @@ def partition_automorphisms(p: Partition, element_cap: int = DEFAULT_ELEMENT_CAP
             for src, img in zip(sources, images):
                 for x, y in zip(src, img):
                     w[x - 1] = y
-            words.append(tuple(w))
+            words.append(bytes(w))
     return PermGroup.from_words(words, n, element_cap)
 
 
 def _transposition_word(n: int, x: int, y: int) -> Word:
     w = list(range(1, n + 1))
     w[x - 1], w[y - 1] = y, x
-    return tuple(w)
+    return bytes(w)
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +593,7 @@ def _prime_power_order_words(n: int) -> list[Word]:
     """
     out = []
     seen_cyclic: set[frozenset[Word]] = set()
-    for w in sorted(itertools.permutations(range(1, n + 1))):
+    for w in map(bytes, itertools.permutations(range(1, n + 1))):
         cyc = frozenset(_generate([w], n, math.factorial(n))[0])
         if not _is_prime_power(len(cyc)):  # the order of w; 1 is no prime power
             continue
@@ -673,12 +673,13 @@ def _subgroup_catalog(n: int) -> tuple[tuple[tuple[Word, ...], frozenset[Word]],
         if len(elems) == len(full) or elems == even_half:
             continue  # nothing above the top groups
         base = list(elems)
+        tables = list(map(_times, base))
         covered = set(elems)
         for g in extenders:
             if g not in covered:
-                # cover the double coset HgH: every b*g*a with a, b in H
-                for ga in (_times(a)(g) for a in base):
-                    covered.update(map(_times(ga), base))
+                # cover the double coset HgH: every a·g·b with a, b in H
+                for gb in _coset(g, base):
+                    covered.update(map(gb.translate, tables))
                 push(grow(elems, gens, g), gens + (g,))
     # kept for the process: each element set refers to the words of S_n, so
     # a word in many subgroups is held once

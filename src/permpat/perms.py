@@ -3,7 +3,8 @@
 Conventions used throughout the package:
 
 - Positions and values are 1-based everywhere; a permutation pi is stored as
-  the word (pi(1), ..., pi(n)).
+  the word ``bytes((pi(1), ..., pi(n)))``, a ``Word``, and every word the
+  package holds is ``bytes``: two words compare as their value tuples do.
 - Composition is right to left: ``compose(f, g)(x) == f(g(x))``.
 - The canonical order on permutations is lexicographic on the one-line word;
   every function returning a collection of permutations returns it sorted in
@@ -15,11 +16,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterable
+from typing import Iterable, Sequence
 
 #: Hard cap on the degree of a single permutation.  One-line words above this
 #: size are outside the scope of every exhaustive routine in this package.
 MAX_DEGREE = 16
+
+Word = bytes
 
 
 class CapExceeded(RuntimeError):
@@ -34,7 +37,7 @@ class Perm:
     def __init__(self, word: Iterable[int]):
         w = tuple(word)
         _check_permutation(w)
-        object.__setattr__(self, "word", w)
+        object.__setattr__(self, "word", bytes(w))
 
     @property
     def degree(self) -> int:
@@ -60,14 +63,13 @@ class Perm:
 
 
 # ---------------------------------------------------------------------------
-# raw-word helpers (hot paths take plain tuples and delete points on bytes)
+# raw-word helpers (hot paths take words, not Perms)
 #
 # Deleting a set D of values from a word and reducing what is left is one C
 # call, shared by the pattern kernel and the level step:
-# ``bytes(w).translate(table, gone)`` drops the values in
+# ``w.translate(table, gone)`` drops the values in
 # ``gone == bytes(sorted(D))`` and lowers every other value x by the number of
-# values of D below x.  Values are at most MAX_DEGREE, so every word fits in
-# bytes.
+# values of D below x.
 
 def _deletion_table(gone: bytes) -> bytes:
     """The translate table for ``gone``, which must be ascending."""
@@ -92,36 +94,32 @@ def _deletion_tables(n: int, length: int) -> tuple[tuple[bytes, ...], tuple[byte
     return tuple(map(_deletion_table, gones)), gones
 
 
-def _delete_word(word: tuple[int, ...], i0: int) -> tuple[int, ...]:
+def _delete_word(word: Word, i0: int) -> Word:
     # pattern obtained by deleting 0-based position i0
     tables, gones = _deletion_tables(len(word), len(word) - 1)
     v = word[i0]
-    return tuple(bytes(word).translate(tables[v - 1], gones[v - 1]))
+    return word.translate(tables[v - 1], gones[v - 1])
 
 
-def _pattern_words(words: Iterable[tuple[int, ...]], length: int) -> set[tuple[int, ...]]:
+def _pattern_words(words: Iterable[Word], length: int) -> set[Word]:
     """The length-``length`` patterns of all the words: one translate of each
-    word's bytes per set of values it can lose, the distinct patterns turned
-    into tuples once at the end.  Words shorter than ``length`` contribute
-    nothing."""
-    found: set[bytes] = set()
+    word per set of values it can lose.  Words shorter than ``length``
+    contribute nothing."""
+    found: set[Word] = set()
     for w in words:
-        found.update(map(bytes(w).translate, *_deletion_tables(len(w), length)))
-    return set(map(tuple, found))
+        found.update(map(w.translate, *_deletion_tables(len(w), length)))
+    return found
 
 
-def _compose_words(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(f[x - 1] for x in g)
+def _compose_words(f: Word, g: Word) -> Word:
+    return bytes(f[x - 1] for x in g)
 
 
-def _inverse_word(word: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(word)
-    for i, v in enumerate(word):
-        inv[v - 1] = i + 1
-    return tuple(inv)
+def _inverse_word(word: Word) -> Word:
+    return bytes(word.index(v) + 1 for v in range(1, len(word) + 1))
 
 
-def _is_even_word(word: tuple[int, ...]) -> bool:
+def _is_even_word(word: Sequence[int]) -> bool:
     # parity of the inversion count, via cycle structure: even iff
     # n - (#cycles) is even
     n = len(word)
@@ -170,18 +168,23 @@ def ajd(n: int, length: int) -> Perm:
     return Perm(tuple(range(1, n - length + 1)) + tuple(range(n, n - length, -1)))
 
 
-def _check_permutation(word: tuple[int, ...]) -> None:
+def _check_permutation(word: Sequence[int]) -> None:
     """Refuse a word that is not a permutation of 1..n, n = len(word), with
     1 <= n <= MAX_DEGREE: the check behind ``Perm`` and the group closure."""
     n = len(word)
     _check_degree(n)
     if sorted(word) != list(range(1, n + 1)):
-        raise ValueError(f"not a permutation of 1..{n}: {word!r}")
+        raise ValueError(f"not a permutation of 1..{n}: {tuple(word)!r}")
 
 
 def _check_degree(n: int) -> None:
     if not 1 <= n <= MAX_DEGREE:
         raise ValueError(f"degree must be in 1..{MAX_DEGREE}, got {n}")
+
+
+def _check_depth(depth: int) -> None:
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
 
 
 def _check_level_degree(m: int) -> None:
@@ -308,7 +311,7 @@ def pattern(p: Perm, index_set: Iterable[int]) -> Perm:
     if idx[0] < 1 or idx[-1] > p.degree:
         raise ValueError(f"index out of range 1..{p.degree}: {idx}")
     gone = bytes(sorted(v for i, v in enumerate(p.word, 1) if i not in keep))
-    return Perm(bytes(p.word).translate(_deletion_table(gone), gone))
+    return Perm(p.word.translate(_deletion_table(gone), gone))
 
 
 def delete_point(p: Perm, i: int) -> Perm:
@@ -344,7 +347,7 @@ def reverse(p: Perm) -> Perm:
 def complement(p: Perm) -> Perm:
     """Reversal composed with p: each value v replaced by n + 1 - v."""
     n = p.degree
-    return Perm(tuple(n + 1 - v for v in p.word))
+    return Perm(n + 1 - v for v in p.word)
 
 
 def parity(p: Perm) -> str:

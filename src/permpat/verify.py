@@ -40,13 +40,13 @@ from .perms import (
     MAX_DEGREE,
     CapExceeded,
     Perm,
+    Word,
+    _check_depth,
     _check_level_degree,
     ascending,
     descending,
     natural_cycle,
 )
-
-Word = tuple[int, ...]
 
 
 class Report(NamedTuple):
@@ -93,8 +93,7 @@ def verify_prediction(
     g: PermGroup, depth: int, *, element_cap: int = DEFAULT_ELEMENT_CAP
 ) -> Report:
     """Compare predicted levels 1..depth against the brute-force engine."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    _check_depth(depth)
     scope = f"{describe_group(g)} depth={depth}"
 
     def run() -> dict | None:
@@ -226,8 +225,7 @@ def verify_catalog(
     # refuse up front what every group would refuse after the enumeration:
     # no level to compare, a degree with no catalog (a usage error under any
     # cap), or S_n (which enumerate_subgroups builds) past the cap
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    _check_depth(depth)
     _check_subgroup_degree(n)
     if math.factorial(n) > element_cap:
         raise CapExceeded(f"|S_{n}| = {math.factorial(n)} exceeds the cap {element_cap}")
@@ -348,7 +346,7 @@ def _law_jump_characterization(_: random.Random) -> dict | None:
     for n in range(2, 8):
         none_expected = {ascending(n).word, descending(n).word}
         one_expected = _one_jump_family(n)
-        for word in itertools.permutations(range(1, n + 1)):
+        for word in map(bytes, itertools.permutations(range(1, n + 1))):
             p = Perm(word)
             k = len(perms_mod.jumps(p))
             if (k == 0) != (word in none_expected):
@@ -366,7 +364,7 @@ def _law_dihedral_criterion(_: random.Random) -> dict | None:
     3..7."""
     for n in range(3, 8):
         dn = natural_dihedral_group(n)
-        for word in itertools.permutations(range(1, n + 1)):
+        for word in map(bytes, itertools.permutations(range(1, n + 1))):
             consecutive = all(
                 (word[t] - word[t + 1]) % n in (1, n - 1) for t in range(n - 1)
             )
@@ -431,7 +429,7 @@ def _law_adjacent_quotient(_: random.Random) -> dict | None:
                     for x in range(k + 1, j):
                         cyc[x - 1] = x - 1
                     cyc[k - 1] = j - 1
-                if gamma.word != tuple(cyc):
+                if gamma.word != bytes(cyc):
                     return {"perm": str(p), "i": i, "gamma": str(gamma)}
     return None
 
@@ -481,7 +479,7 @@ def _law_young_join(_: random.Random) -> dict | None:
     for n in range(2, 6):
         all_parts = _all_partitions(n)
         young = {p: young_subgroup(p) for p in all_parts}
-        sym = list(itertools.permutations(range(1, n + 1)))
+        sym = list(map(bytes, itertools.permutations(range(1, n + 1))))
         for p in all_parts:
             label = p.block_index
             fixing = {w for w in sym if all(label[w[x - 1]] == label[x] for x in label)}
@@ -769,7 +767,7 @@ def _law_comp_direct_agreement(rng: random.Random) -> dict | None:
         s = _random_word_set(rng, l, 5)
         direct = {
             w
-            for w in itertools.permutations(range(1, m + 1))
+            for w in map(bytes, itertools.permutations(range(1, m + 1)))
             if all(p.word in s.word_set for p in perms_mod.all_patterns(Perm(w), l))
         }
         if comp_set(s, m).word_set != direct:

@@ -21,15 +21,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_python(*argv):
+def run_python(*argv, **env):
     """Run the interpreter in a child process that imports this checkout's
-    ``src`` first, installed or not."""
+    ``src`` first, installed or not, with ``env`` added to its environment."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *argv],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, **env, "PYTHONPATH": path},
     )
 
 
@@ -428,7 +428,7 @@ def test_levels_past_the_degree_limit_are_a_cap(capsys, argv):
 
 @pytest.mark.parametrize("size", [PRINT_CAP, PRINT_CAP + 1])
 def test_set_payload_lists_elements_up_to_the_print_cap(size):
-    words = frozenset(itertools.islice(itertools.permutations(range(1, 7)), size))
+    words = frozenset(map(bytes, itertools.islice(itertools.permutations(range(1, 7)), size)))
     payload = _set_payload(6, words)
     assert payload["size"] == size
     if size <= PRINT_CAP:
@@ -679,3 +679,32 @@ def test_classify_citations_per_class(capsys, group, kind, citations):
     assert code == 0
     payload = json.loads(out)
     assert (payload["kind"], payload["citations"]) == (kind, citations)
+
+
+def _without_elapsed(stdout):
+    lines = [json.loads(line) for line in stdout.splitlines()]
+    for obj in lines:
+        obj.pop("elapsed_ms", None)
+    return lines
+
+
+def test_output_does_not_follow_hash_order():
+    # bytes hashes are salted per process, unlike tuples of ints: output
+    # that followed set order would differ between these two processes
+    commands = [
+        ["verify", "--catalog", "4", "--depth", "2"],
+        ["comp", "--group", "A:5", "--to", "7"],
+        ["pat", "--group", "D:6", "--level", "4"],
+        ["classify", "--group", "gens:6:(1 2)(3 4);(1 3 5)(2 4 6)", "--depth", "2"],
+        ["levels", "--group", "C:5", "--depth", "2"],
+    ]
+    runs = {
+        seed: [
+            run_python("-m", "permpat", "--format", "json", *argv, PYTHONHASHSEED=seed)
+            for argv in commands
+        ]
+        for seed in ("0", "1")
+    }
+    for argv, first, second in zip(commands, runs["0"], runs["1"]):
+        assert first.returncode == second.returncode == 0, (argv, first.stderr)
+        assert _without_elapsed(first.stdout) == _without_elapsed(second.stdout), argv

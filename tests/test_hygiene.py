@@ -10,8 +10,10 @@ a ``PermGroup`` is constructed directly only where its element set is
 produced or checked by the closure, or is all of S_n.  Module state lives
 only in ``functools`` caches: no function declares a name ``global`` or
 assigns through a subscript of a module-level name.  The level-degree
-refusal and the degree range are each worded once, and every law suite in
-``verify`` has a docstring.
+refusal, the degree range and the depth refusal are each worded once, every
+law suite in ``verify`` has a docstring, a product of words is built in one
+place, and ``Word`` is defined once, with no word converted between tuples
+and bytes.
 """
 import ast
 from pathlib import Path
@@ -193,20 +195,40 @@ def test_permgroup_is_constructed_directly_only_by_the_closure():
     )
 
 
-def test_one_right_multiplication():
-    # r -> r·s is built by groups._times alone, not by an itemgetter over a
-    # generator expression
-    found = [p.name for p in SRC.glob("*.py") if "x - 1 for x in" in p.read_text()]
-    assert not found, f"right multiplication written out in {found}"
+def test_one_multiplication():
+    # a product of words is one translate by the table groups._times builds:
+    # no itemgetter or generator over positions, and no other function in
+    # groups builds a 256-byte table
+    found = [
+        f"{p.name}: {text}"
+        for p in SRC.glob("*.py")
+        for text in ("itemgetter", "x - 1 for x in")
+        if text in p.read_text()
+    ]
+    tables = [
+        name
+        for name, fn in _functions(ast.parse((SRC / "groups.py").read_text()))
+        if any(
+            (isinstance(n, ast.Constant) and n.value == 256)
+            or (isinstance(n, ast.Name) and n.id == "_IDENTITY_TABLE")
+            for n in ast.walk(fn)
+        )
+    ]
+    assert not found and tables == ["_times"], (found, tables)
 
 
 @pytest.mark.parametrize(
     "wording",
-    ["level degree {MAX_DEGREE + 1} exceeds the cap {MAX_DEGREE}", "1..{MAX_DEGREE}, got"],
+    [
+        "level degree {MAX_DEGREE + 1} exceeds the cap {MAX_DEGREE}",
+        "1..{MAX_DEGREE}, got",
+        '"depth must be >= 1"',
+    ],
 )
 def test_one_degree_refusal(wording):
-    # the level-degree refusal (perms._check_level_degree) and the degree
-    # range (perms._check_degree) are each written once
+    # the level-degree refusal (perms._check_level_degree), the degree range
+    # (perms._check_degree) and the depth refusal (perms._check_depth) are
+    # each written once
     found = [p.name for p in SRC.glob("*.py") for _ in range(p.read_text().count(wording))]
     assert found == ["perms.py"], f"{wording!r} written in {found}"
 
@@ -266,3 +288,39 @@ def test_every_law_suite_has_a_docstring():
     }
     missing = [name for name in names if not docs[name]]
     assert names and not missing, f"law suites without a docstring: {missing}"
+
+
+def test_one_word_type():
+    # Word is bytes, defined in perms alone; the kernels convert no word
+    # between tuples and bytes: bytes(...) is mapped only over the int
+    # tuples itertools generates, to build words
+    defined = [
+        p.name
+        for p in SRC.glob("*.py")
+        for node in ast.parse(p.read_text()).body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "Word" for t in node.targets)
+    ]
+    assert defined == ["perms.py"], defined
+    found = []
+    for name in ("galois.py", "groups.py", "perms.py"):
+        for node in ast.walk(ast.parse((SRC / name).read_text())):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "map"
+                and isinstance(node.args[0], ast.Name)
+                and node.args[0].id in ("tuple", "bytes")
+            ):
+                continue
+            source = node.args[1]
+            from_itertools = (
+                node.args[0].id == "bytes"
+                and isinstance(source, ast.Call)
+                and isinstance(source.func, ast.Attribute)
+                and isinstance(source.func.value, ast.Name)
+                and source.func.value.id == "itertools"
+            )
+            if not from_itertools:
+                found.append(f"{name}:{node.lineno}")
+    assert not found, f"words converted between tuples and bytes at {found}"

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -37,6 +38,15 @@ def test_constructor_validation():
         Perm(range(1, 18))  # above the degree cap
     with pytest.raises(ValueError):
         pp.dja(4, 5)
+
+
+@pytest.mark.parametrize("word", [(1, 1, 2), [1, 300], [0, -1]])
+def test_perm_refuses_a_non_permutation_with_its_values_shown(word):
+    # a word is bytes, but a value bytes cannot hold is refused by the
+    # permutation check, never by bytes' own range error
+    message = f"not a permutation of 1..{len(word)}: {tuple(word)!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Perm(word)
 
 
 def test_perm_is_immutable():
@@ -220,7 +230,7 @@ def test_symmetries_preserve_involvement(w_big, w_small):
 
 def _rank_by_sorting(values):
     ordered = sorted(values)
-    return tuple(ordered.index(v) + 1 for v in values)
+    return bytes(ordered.index(v) + 1 for v in values)
 
 
 def _reference_patterns(word, length):
@@ -231,7 +241,7 @@ def _reference_patterns(word, length):
 
 
 def _words_up_to(n):
-    return [w for k in range(1, n + 1) for w in itertools.permutations(range(1, k + 1))]
+    return [bytes(w) for k in range(1, n + 1) for w in itertools.permutations(range(1, k + 1))]
 
 
 def test_pattern_extraction_matches_the_reference():
@@ -251,14 +261,14 @@ def test_pattern_extraction_matches_the_reference():
             assert pp.pat_set(pp.PermSet(n, [word]), k).word_set == set(expected), (word, k)
         taus = set(small_taus).union(*by_length.values())
         for k in range(1, n + 2):
-            taus.update({tuple(range(1, k + 1)), tuple(range(k, 0, -1))})
+            taus.update({bytes(range(1, k + 1)), bytes(range(k, 0, -1))})
         for tau in taus:
             assert pp.involves(Perm(tau), pi) == (tau in by_length.get(len(tau), ())), (tau, word)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_pat_set_of_many_words_is_the_union_of_their_patterns(n):
-    words = sorted(itertools.permutations(range(1, n + 1)))
+    words = sorted(map(bytes, itertools.permutations(range(1, n + 1))))
     for start in range(0, len(words), 7):
         chunk = words[start:start + 7]
         for k in range(1, n + 1):
@@ -272,9 +282,9 @@ def test_deletion_kernel_at_the_degree_limit():
     rng = random.Random(16)
     for n in range(14, MAX_DEGREE + 1):
         for _ in range(4):
-            word = tuple(rng.sample(range(1, n + 1), n))
+            word = bytes(rng.sample(range(1, n + 1), n))
             for i, c in enumerate(word):
-                literal = tuple(x - (x > c) for x in word if x != c)
+                literal = bytes(x - (x > c) for x in word if x != c)
                 assert _delete_word(word, i) == literal, (word, i)
             for length in (1, 2, n - 1, n):
                 assert _pattern_words([word], length) == _reference_patterns(word, length)
@@ -282,7 +292,7 @@ def test_deletion_kernel_at_the_degree_limit():
                 expected = _rank_by_sorting([word[i - 1] for i in positions])
                 assert pp.pattern(Perm(word), positions).word == expected, (word, positions)
     # words shorter than the pattern length contribute nothing
-    mixed = [tuple(rng.sample(range(1, k + 1), k)) for k in (3, 9, 15, 16)]
+    mixed = [bytes(rng.sample(range(1, k + 1), k)) for k in (3, 9, 15, 16)]
     for length in (4, 10, 16):
         expected = set().union(*(_reference_patterns(w, length) for w in mixed))
         assert _pattern_words(mixed, length) == expected, length

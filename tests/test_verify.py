@@ -159,7 +159,7 @@ def _empty_comp(s, n, **kwargs):
 def _complement_comp(s, n, **kwargs):
     # every degree-n word outside the true level: inclusions turn around
     level = galois_mod.comp_set(s, n, **kwargs).word_set
-    return pp.PermSet(n, set(itertools.permutations(range(1, n + 1))) - level)
+    return pp.PermSet(n, set(map(bytes, itertools.permutations(range(1, n + 1)))) - level)
 
 
 _true_quotient = perms_mod.adjacent_pattern_quotient
@@ -168,7 +168,7 @@ _true_enumerate = verify_mod.enumerate_subgroups
 
 def _with_a_five_word_set(n):
     # five words: no group, and an order that divides neither 3! nor 4!
-    words = itertools.islice(itertools.permutations(range(1, n + 1)), 5)
+    words = map(bytes, itertools.islice(itertools.permutations(range(1, n + 1)), 5))
     return _true_enumerate(n) + [pp.PermGroup(n, (), words)]
 
 
