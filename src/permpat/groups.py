@@ -135,6 +135,13 @@ def _generate(gens: Iterable[Word], n: int, element_cap: int) -> tuple[set[Word]
     return elems, kept
 
 
+def _check_bytes(w: object) -> None:
+    """Refuse a word that is not ``bytes``: held beside ``bytes`` words, it
+    would miss every lookup."""
+    if not isinstance(w, bytes):
+        raise ValueError(f"member {w!r} is not a bytes word")
+
+
 def _sorted_walk(words: Collection[Word], degree: int) -> Iterator[Word]:
     """Yield ``sorted(words)`` lazily, holding no list of all the words.
 
@@ -145,17 +152,25 @@ def _sorted_walk(words: Collection[Word], degree: int) -> Iterator[Word]:
     all the words, keeping no copy.  Only if more words are asked for are
     those past ``top`` heaped and popped.  A group's greedy generators
     mostly lie in that head: on S_9, the 40320 words fixing 1, then 213456789.
+    The first pass compares every word with a ``bytes`` bound, so of two or
+    more words one that is not ``bytes`` is refused before anything is
+    yielded.
     """
     if len(words) > 1:
         for depth in range(degree):
             bound = bytes((*range(1, depth + 1), depth + 2))
             low: list[Word] = []
             top = None
-            for w in words:
-                if w < bound:
-                    low.append(w)
-                elif top is None or w < top:
-                    top = w
+            try:
+                for w in words:
+                    if w < bound:
+                        low.append(w)
+                    elif top is None or w < top:
+                        top = w
+            except TypeError:  # a word that is not bytes meets the bound
+                for w in words:
+                    _check_bytes(w)
+                raise
             if top is not None:
                 low.sort()
                 yield from low
@@ -191,8 +206,9 @@ class PermSet:
         try:
             lengths = set(map(bytes.__len__, self.word_set))
         except TypeError:
-            bad = next(w for w in self.word_set if not isinstance(w, bytes))
-            raise ValueError(f"member {bad!r} is not a bytes word") from None
+            for w in self.word_set:
+                _check_bytes(w)
+            raise
         if lengths - {degree}:
             bad = next(len(w) for w in self.word_set if len(w) != degree)
             raise ValueError(f"member degree {bad} != {degree}")
@@ -239,9 +255,9 @@ class PermGroup(PermSet):
     ) -> "PermGroup":
         _check_degree(degree)
         for g in generators:
+            _check_bytes(g)
             if len(g) != degree:
                 raise ValueError(f"generator degree {len(g)} != {degree}")
-        PermSet(degree, generators)  # refuses a word that is not bytes
         return cls(degree, generators, _generate(generators, degree, element_cap)[0])
 
     @classmethod
@@ -260,11 +276,12 @@ class PermGroup(PermSet):
         order and heaps the rest on demand, and the walk stops at the first
         extension whose closure equals the set, since no later word could
         extend it; a set that is not a group walks every word.  The degree
-        must be in 1..MAX_DEGREE and the words must make a ``PermSet``.  Each
-        word the walk extends by must be a permutation, so a word that
-        repeats a value, never in the closure of permutations, is refused
-        when reached; the set must equal that closure, so no other word is
-        checked.
+        must be in 1..MAX_DEGREE, as for ``closure``.  Every word must be
+        ``bytes``: ``_sorted_walk`` refuses one that is not.  Each word the
+        walk extends by must be a permutation of 1..degree, so a member of
+        another degree or a word that repeats a value, never in the closure
+        of permutations, is refused when reached; the set must equal that
+        closure, so no other word is checked.
 
         The extension that would equal the set is never built.  Before
         extending the closure H by the next word g, with m = |W| / |H| a
@@ -283,11 +300,14 @@ class PermGroup(PermSet):
         building one coset costs less than walking them.
         """
         closed = {ascending(degree).word}
-        wset = PermSet(degree, words).word_set
+        wset = frozenset(words)
         size = len(wset)
         gens: list[Word] = []
         for g in _sorted_walk(wset, degree):
             if g not in closed:
+                _check_bytes(g)
+                if len(g) != degree:
+                    raise ValueError(f"member degree {len(g)} != {degree}")
                 _check_permutation(g)
                 m, rest = divmod(size, len(closed))
                 if (

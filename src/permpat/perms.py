@@ -35,9 +35,7 @@ class Perm:
     __slots__ = ("word",)
 
     def __init__(self, word: Iterable[int]):
-        w = tuple(word)
-        _check_permutation(w)
-        object.__setattr__(self, "word", bytes(w))
+        object.__setattr__(self, "word", _check_permutation(tuple(word)))
 
     @property
     def degree(self) -> int:
@@ -168,13 +166,18 @@ def ajd(n: int, length: int) -> Perm:
     return Perm(tuple(range(1, n - length + 1)) + tuple(range(n, n - length, -1)))
 
 
-def _check_permutation(word: Sequence[int]) -> None:
+def _check_permutation(word: Sequence[int]) -> Word:
     """Refuse a word that is not a permutation of 1..n, n = len(word), with
-    1 <= n <= MAX_DEGREE: the check behind ``Perm`` and the group closure."""
+    1 <= n <= MAX_DEGREE: the check behind ``Perm`` and the group closure.
+    Return the word as ``bytes``."""
     n = len(word)
     _check_degree(n)
-    if sorted(word) != list(range(1, n + 1)):
-        raise ValueError(f"not a permutation of 1..{n}: {tuple(word)!r}")
+    try:
+        if sorted(word) == list(range(1, n + 1)):
+            return bytes(word)
+    except TypeError:  # values that do not compare, or 1.0: equal to 1 but no int
+        pass
+    raise ValueError(f"not a permutation of 1..{n}: {tuple(word)!r}")
 
 
 def _check_degree(n: int) -> None:

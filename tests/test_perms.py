@@ -40,7 +40,7 @@ def test_constructor_validation():
         pp.dja(4, 5)
 
 
-@pytest.mark.parametrize("word", [(1, 1, 2), [1, 300], [0, -1]])
+@pytest.mark.parametrize("word", [(1, 1, 2), [1, 300], [0, -1], [1.0, 2.0], ("2", 1)])
 def test_perm_refuses_a_non_permutation_with_its_values_shown(word):
     # a word is bytes, but a value bytes cannot hold is refused by the
     # permutation check, never by bytes' own range error
