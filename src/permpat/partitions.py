@@ -194,7 +194,8 @@ def derive_iter(p: Partition, i: int) -> Partition:
 def reverse_partition(p: Partition) -> Partition:
     """Each block mapped through x -> n + 1 - x."""
     n = p.size
-    return Partition.from_blocks(tuple(n + 1 - x for x in b) for b in p.blocks)
+    # a reversed block maps to an ascending one; disjoint blocks sort by minimum
+    return Partition(n, tuple(sorted(tuple(n + 1 - x for x in reversed(b)) for b in p.blocks)))
 
 
 def is_interval_partition(p: Partition) -> bool:
@@ -216,17 +217,19 @@ def has_consecutive_nontrivial_blocks(p: Partition) -> bool:
 
 def interwoven(p: Partition, a: int, b: int) -> bool:
     """True iff [a,b] splits into k > 1 arithmetic progressions of step k that
-    are all blocks of ``p``."""
+    are all blocks of ``p``.  The progression from a is a's block, so k is
+    the gap from a to the next point of that block, or the span when a is
+    a singleton: only one step can work."""
     if not 1 <= a < b <= p.size:
         raise ValueError(f"need 1 <= a < b <= {p.size}, got [{a},{b}]")
     span = b - a + 1
-    for k in range(2, span + 1):
-        if span % k:
-            continue
-        # at most 16 blocks: a scan of the tuple beats building a set
-        if all(tuple(range(a + i, b + 1, k)) in p.blocks for i in range(k)):
-            return True
-    return False
+    block = next(blk for blk in p.blocks if a in blk)
+    i = block.index(a) + 1
+    k = block[i] - a if i < len(block) else span
+    if k < 2 or span % k:
+        return False
+    # at most 16 blocks: a scan of the tuple beats building a set
+    return all(tuple(range(a + j, b + 1, k)) in p.blocks for j in range(k))
 
 
 def interwoven_generators(p: Partition) -> tuple[Perm, ...]:

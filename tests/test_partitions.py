@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -221,6 +222,16 @@ def _meet_reference(p, q):
     return _from_blocks_reference(cells.values())
 
 
+def _interwoven_reference(p, a, b):
+    # every divisor k > 1 of the span tried as the step
+    span = b - a + 1
+    return any(
+        all(tuple(range(a + i, b + 1, k)) in p.blocks for i in range(k))
+        for k in range(2, span + 1)
+        if span % k == 0
+    )
+
+
 def _outcome(build, blocks):
     try:
         return build(blocks)
@@ -248,6 +259,10 @@ def test_partition_kernel_matches_references(n):
         if previous is not None:
             assert pp.meet(p, previous) == _meet_reference(p, previous), labels
         previous = p
+        reflected = [[n + 1 - x for x in b] for b in blocks.values()]
+        assert pp.reverse_partition(p) == pp.Partition.from_blocks(reflected), labels
+        for a, b in itertools.combinations(range(1, n + 1), 2):
+            assert pp.interwoven(p, a, b) == _interwoven_reference(p, a, b), (labels, a, b)
 
 
 @pytest.mark.parametrize(

@@ -164,6 +164,7 @@ def _complement_comp(s, n, **kwargs):
 
 _true_quotient = perms_mod.adjacent_pattern_quotient
 _true_enumerate = verify_mod.enumerate_subgroups
+_true_derive = parts.derive
 
 
 def _with_a_five_word_set(n):
@@ -175,6 +176,15 @@ def _with_a_five_word_set(n):
 def _derive_to_one_block_pair(p):
     # 1,2|3|...|n+1 for every p: symmetric under reversal only at n = 1
     return parts.Partition.from_blocks([[1, 2], *([x] for x in range(3, p.size + 2))])
+
+
+def _derive_wrong_off_intervals(p):
+    # the true derivative on interval partitions; elsewhere p with n+1 as a
+    # block of its own, which is no interval partition when p is none
+    if parts.is_interval_partition(p):
+        return _true_derive(p)
+    return parts.Partition(p.size + 1, (*p.blocks, (p.size + 1,)))
+
 
 _TAMPERS = [
     # involvement against word equality and a pattern's own patterns
@@ -232,6 +242,19 @@ _TAMPERS = [
     # the cycle and a prefix cycle against the order their parities give
     (verify_mod, "natural_cycle", pp.ascending, "law-cycle-prefix-generation",
      {"n": 3, "m": 2, "order": 2}),
+    # symmetries that keep involvement against the position map of patterns
+    (perms_mod, "inverse", lambda p: p, "law-symmetry-involvement",
+     {"pi": "2413", "positions": [1, 4]}),
+    (perms_mod, "reverse", lambda p: p, "law-symmetry-involvement",
+     {"pi": "2413", "positions": [1, 4]}),
+    (perms_mod, "complement", lambda p: p, "law-symmetry-involvement",
+     {"pi": "2413", "positions": [1, 4]}),
+    # derive(p) itself is checked, not derive(max_intervals(p)), which the
+    # memos could stand in for: the first partition of no intervals is 1,3|2
+    (parts, "derive", _derive_wrong_off_intervals, "law-derived-meet-form",
+     {"partition": "1,3|2"}),
+    (parts, "derive", _derive_wrong_off_intervals, "law-derived-shape",
+     {"partition": "1,3|2", "derived": "1,3|2|4"}),
 ]
 
 
@@ -245,20 +268,42 @@ def test_tampered_library_fails_its_law_suite(
     assert json.loads(json.dumps(report.counterexample)) == counterexample
 
 
-# the law suites no tamper fails yet; each new tamper takes its suite off
-# this list, and a new suite lands with a tamper
-_SUITES_WITHOUT_A_TAMPER = {
-    "law-symmetry-involvement",
-}
-
-
-def test_every_law_suite_has_a_tamper_or_is_listed_without_one():
+def test_every_law_suite_has_a_tamper():
     ids = [check_id for check_id, _, _ in verify_mod._LAW_SUITES]
     # law-product-containment's tamper is test_tampered_compose_is_caught
     tampered = {row[3] for row in _TAMPERS} | {"law-product-containment"}
     assert len(ids) == len(set(ids))
-    assert not tampered & _SUITES_WITHOUT_A_TAMPER
-    assert set(ids) == tampered | _SUITES_WITHOUT_A_TAMPER
+    assert set(ids) == tampered
+
+
+@pytest.mark.parametrize(
+    "check_id, name, calls",
+    [
+        # one meet per distinct maximal-interval partition m: the 2^(n-1)
+        # interval partitions of n = 1..8 points
+        ("law-derived-meet-form", "meet", 255),
+        # the predicates once per distinct derived partition
+        ("law-derived-shape", "is_interval_partition", 149),
+    ],
+)
+def test_partition_suites_check_each_distinct_partition_once(
+    monkeypatch, check_id, name, calls
+):
+    # 5295 partitions of 1..8 points are walked; each suite builds its
+    # other side once per distinct partition it depends on, in a memo that
+    # lives for one call, so a second call counts as many again
+    counted = []
+    real = getattr(parts, name)
+
+    def counting(*args):
+        counted.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(parts, name, counting)
+    assert _run_law_suite(check_id).status == "pass"
+    assert len(counted) == calls
+    assert _run_law_suite(check_id).status == "pass"
+    assert len(counted) == 2 * calls
 
 
 def test_young_join_closes_each_unordered_pair_once(monkeypatch):
