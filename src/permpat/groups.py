@@ -4,17 +4,18 @@ No stabilizer chains: every group constructed here is small enough that the
 explicit element set is the cheapest representation, and exact set
 comparison is the dominant query.  A set or group holds its ``bytes`` words
 in one frozenset; order is imposed only where it is part of the output or of
-a deterministic choice.  Every product is one ``bytes.translate``:
-``r.translate(_times(s))`` is the word of s·r, so closures multiply on the
-left and grow one generator at a time by left cosets r H (Dimino's
-algorithm), guarded by an element cap; exceeding the cap is a hard error,
-never silent truncation.  Every closure starts from the identity
-``perms.ascending(n)`` and refuses each word it extends by that is not a
-permutation, by the check ``Perm`` runs (``perms._check_permutation``).
-A set's degree is checked once, by ``perms._check_degree``; group
-constructors check it too.  Every named group but the symmetric
-group is the closure of the generators it states, and a group built from
-written-out words is checked by ``PermGroup.from_words``.  That check takes
+a deterministic choice.  Every product is one ``bytes.translate`` by the
+package's one product table, ``perms._times``: ``r.translate(_times(s))`` is
+the word of s·r, so closures multiply on the left and grow one generator at
+a time by left cosets r H (Dimino's algorithm), guarded by an element cap;
+exceeding the cap is a hard error, never silent truncation.  Every closure
+starts from the identity ``perms.ascending(n)`` and refuses each word it
+extends by that is not a permutation, by the check ``Perm`` runs
+(``perms._check_permutation``).  A set's degree is checked once, by
+``perms._check_degree``; group constructors check it too.  Every named
+group but the symmetric group is the closure of the generators it states,
+and a group built from written-out words is checked by
+``PermGroup.from_words``.  That check takes
 the words in sorted order without sorting them all: it sorts the words below
 the first word that leaves the leading fixed points, and heaps the rest only
 if the walk reaches them.  It never builds the extension that would equal the
@@ -39,6 +40,7 @@ from .perms import (
     _check_permutation,
     _inverse_word,
     _is_even_word,
+    _times,
     ascending,
     descending,
     format_perm,
@@ -47,14 +49,6 @@ from .perms import (
 )
 
 DEFAULT_ELEMENT_CAP = 500_000
-_IDENTITY_TABLE = bytes(range(256))
-
-
-def _times(s: Word) -> bytes:
-    """The left multiplication by ``s`` as a translate table:
-    ``r.translate(_times(s))`` is s·r, the word of x -> s(r(x)), for every
-    word r of the degree of ``s``."""
-    return b"\0" + s + _IDENTITY_TABLE[len(s) + 1 :]
 
 
 def _coset(r: Word, base: Iterable[Word]) -> Iterator[Word]:

@@ -116,6 +116,13 @@ def congruence(
     return Partition.from_blocks(blocks.values())
 
 
+def _block_fixing(p: Partition, words: Iterable[bytes]) -> set[bytes]:
+    # w maps each block onto itself when it keeps every point's block label
+    labels = bytes(map(p.block_index.__getitem__, range(1, p.size + 1)))
+    table = (b"\0" + labels).ljust(256, b"\0")
+    return {w for w in words if w.translate(table) == labels}
+
+
 def _check_sizes(p: Partition, q: Partition) -> None:
     if p.size != q.size:
         raise ValueError(f"ground-set size mismatch: {p.size} vs {q.size}")

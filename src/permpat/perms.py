@@ -5,7 +5,10 @@ Conventions used throughout the package:
 - Positions and values are 1-based everywhere; a permutation pi is stored as
   the word ``bytes((pi(1), ..., pi(n)))``, a ``Word``, and every word the
   package holds is ``bytes``: two words compare as their value tuples do.
-- Composition is right to left: ``compose(f, g)(x) == f(g(x))``.
+- Composition is right to left: ``compose(f, g)(x) == f(g(x))``.  Every
+  product of words is one ``bytes.translate`` by the one product table,
+  ``_times``: ``r.translate(_times(s))`` is the word of s·r.  ``compose``,
+  the group closures and the subgroup enumeration all multiply through it.
 - The canonical order on permutations is lexicographic on the one-line word;
   every function returning a collection of permutations returns it sorted in
   this order.
@@ -35,7 +38,9 @@ class Perm:
     __slots__ = ("word",)
 
     def __init__(self, word: Iterable[int]):
-        object.__setattr__(self, "word", _check_permutation(tuple(word)))
+        if not isinstance(word, bytes):
+            word = tuple(word)
+        object.__setattr__(self, "word", _check_permutation(word))
 
     @property
     def degree(self) -> int:
@@ -109,12 +114,24 @@ def _pattern_words(words: Iterable[Word], length: int) -> set[Word]:
     return found
 
 
+_IDENTITY_TABLE = bytes(range(256))
+
+
+def _times(s: Word) -> bytes:
+    """The left multiplication by ``s`` as a translate table:
+    ``r.translate(_times(s))`` is s·r, the word of x -> s(r(x)), for every
+    word r of the degree of ``s``.  The package's one product table."""
+    return b"\0" + s + _IDENTITY_TABLE[len(s) + 1 :]
+
+
 def _compose_words(f: Word, g: Word) -> Word:
-    return bytes(f[x - 1] for x in g)
+    return g.translate(_times(f))
 
 
 def _inverse_word(word: Word) -> Word:
-    return bytes(word.index(v) + 1 for v in range(1, len(word) + 1))
+    # the table sending w(x) to x, read at the values 1..n
+    ident = _IDENTITY_TABLE[1 : len(word) + 1]
+    return ident.translate(bytes.maketrans(word, ident))
 
 
 def _is_even_word(word: Sequence[int]) -> bool:
@@ -364,8 +381,8 @@ def jumps(p: Perm) -> tuple[tuple[int, int], ...]:
     A pair qualifies when {p(t), p(t+1)} = {a, b} for some position t; the
     result is sorted and duplicate-free.
     """
-    adjacent = {(min(x, y), max(x, y)) for x, y in zip(p.word, p.word[1:])}
-    return tuple(sorted((a, b) for a, b in adjacent if a <= b - 2))
+    w = p.word
+    return tuple(sorted({(min(x, y), max(x, y)) for x, y in zip(w, w[1:]) if abs(x - y) >= 2}))
 
 
 def adjacent_pattern_quotient(p: Perm, i: int) -> Perm:

@@ -27,6 +27,7 @@ from .groups import (
     PermGroup,
     PermSet,
     _check_subgroup_degree,
+    _extend,
     describe_group,
     enumerate_subgroups,
     natural_cyclic_group,
@@ -36,6 +37,7 @@ from .groups import (
     symmetric_group,
     young_subgroup,
 )
+from .partitions import _block_fixing
 from .perms import (
     MAX_DEGREE,
     CapExceeded,
@@ -484,22 +486,24 @@ def _all_partitions(n: int) -> tuple[parts.Partition, ...]:
 
 def _law_young_join(_):
     """Each Young subgroup is every word mapping each block onto itself (an
-    exhaustive filter of S_n), and <S_p, S_q> = S_(p v q).  The join and the
-    generated group are both symmetric in p and q, so each unordered pair is
-    closed once, with p = q among them; a failing library may report a pair
-    in either order."""
+    exhaustive filter of S_n, ``_block_fixing``), and <S_p, S_q> = S_(p v q):
+    S_p, checked against the filter, extended by each generator of S_q
+    outside it.  The join and the generated group are both symmetric in p
+    and q, so each unordered pair is closed once, with p = q among them; a
+    failing library may report a pair in either order."""
     for n in range(2, 6):
         all_parts = _all_partitions(n)
         young = {p: young_subgroup(p) for p in all_parts}
         sym = list(map(bytes, itertools.permutations(range(1, n + 1))))
         for p in all_parts:
-            label = p.block_index
-            fixing = {w for w in sym if all(label[w[x - 1]] == label[x] for x in label)}
-            if young[p].word_set != fixing:
+            if young[p].word_set != _block_fixing(p, sym):
                 return {"partition": str(p)}
         for p, q in itertools.combinations_with_replacement(all_parts, 2):
-            joined = PermGroup.closure(young[p].generator_words + young[q].generator_words, n)
-            if joined != young[parts.join(p, q)]:
+            joined, gens = set(young[p].word_set), list(young[p].generator_words)
+            for g in young[q].generator_words:
+                if g not in joined:
+                    _extend(joined, gens, g, DEFAULT_ELEMENT_CAP)
+            if joined != young[parts.join(p, q)].word_set:
                 return {"p": str(p), "q": str(q)}
     return None
 

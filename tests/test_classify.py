@@ -226,7 +226,7 @@ def _adjacent_conjugates(g):
     n = g.degree
     out = []
     for i in range(1, n):
-        t = tuple(range(1, i)) + (i + 1, i) + tuple(range(i + 2, n + 1))
+        t = bytes((*range(1, i), i + 1, i, *range(i + 2, n + 1)))
         gens = [_compose_words(t, _compose_words(w, t)) for w in g.generator_words]
         out.append(PermGroup.closure(gens, n))
     return out

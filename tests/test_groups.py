@@ -12,9 +12,15 @@ from hypothesis import strategies as st
 
 import permpat as pp
 from permpat import groups as groups_mod
+from permpat import perms as perms_mod
 from permpat.galois import iter_levels
 from permpat.groups import DEFAULT_ELEMENT_CAP, PermGroup, PermSet, _generate
-from permpat.perms import _compose_words
+
+
+def _product(f, g):
+    """Reference product x -> f(g(x)), read over positions, sharing nothing
+    with the translate table ``perms._times``."""
+    return bytes(f[x - 1] for x in g)
 
 
 def _bfs_closure(gens, n):
@@ -31,7 +37,7 @@ def _bfs_closure(gens, n):
             nxt = []
             for w in frontier:
                 for h in kept:
-                    prod = _compose_words(w, h)
+                    prod = _product(w, h)
                     if prod not in elems:
                         elems.add(prod)
                         nxt.append(prod)
@@ -159,12 +165,12 @@ def test_multiplication_matches_composition():
     for n in range(2, 6):
         words = list(map(bytes, itertools.permutations(range(1, n + 1))))
         for s in words:
-            times_s = groups_mod._times(s)
-            assert all(r.translate(times_s) == _compose_words(s, r) for r in words)
+            times_s = perms_mod._times(s)
+            assert all(r.translate(times_s) == _product(s, r) for r in words)
     rng = random.Random(16)
     for _ in range(200):
         r, s = (bytes(rng.sample(range(1, 17), 16)) for _ in range(2))
-        assert r.translate(groups_mod._times(s)) == _compose_words(s, r)
+        assert r.translate(perms_mod._times(s)) == _product(s, r)
 
 
 def test_every_word_is_bytes():

@@ -16,6 +16,7 @@ place, and ``Word`` is defined once, with no word converted between tuples
 and bytes.
 """
 import ast
+import re
 from pathlib import Path
 from typing import Iterator
 
@@ -195,15 +196,28 @@ def test_permgroup_is_constructed_directly_only_by_the_closure():
     )
 
 
+#: Text forms of a product of words written beside ``perms._times``: an
+#: itemgetter over positions, a generator over positions, and a word built by
+#: reading one word at the values of another, ``bytes(f[x - 1] for x in g)``.
+_SECOND_PRODUCTS = ("itemgetter", "x - 1 for x in", r"bytes\([\w.]+\[(\w+) - 1\] for \1 in")
+
+
 def test_one_multiplication():
-    # a product of words is one translate by the table groups._times builds:
-    # no itemgetter or generator over positions, and no other function in
-    # groups builds a 256-byte table
+    # a product of words is one translate by the table perms._times builds:
+    # _times is defined once, in perms, no module writes a product another
+    # way, and no function in groups builds a 256-byte table
+    assert re.search(_SECOND_PRODUCTS[-1], "bytes(f[x - 1] for x in g)")
     found = [
         f"{p.name}: {text}"
         for p in SRC.glob("*.py")
-        for text in ("itemgetter", "x - 1 for x in")
-        if text in p.read_text()
+        for text in _SECOND_PRODUCTS
+        if re.search(text, p.read_text())
+    ]
+    defined = [
+        p.name
+        for p in SRC.glob("*.py")
+        for name, _ in _functions(ast.parse(p.read_text()))
+        if name == "_times"
     ]
     tables = [
         name
@@ -214,7 +228,7 @@ def test_one_multiplication():
             for n in ast.walk(fn)
         )
     ]
-    assert not found and tables == ["_times"], (found, tables)
+    assert not found and defined == ["perms.py"] and not tables, (found, defined, tables)
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,13 @@ from hypothesis import given, strategies as st
 
 import permpat as pp
 from permpat import Perm
-from permpat.perms import MAX_DEGREE, _delete_word, _pattern_words
+from permpat.perms import (
+    MAX_DEGREE,
+    _compose_words,
+    _delete_word,
+    _inverse_word,
+    _pattern_words,
+)
 
 
 def P(text, degree=None):
@@ -214,6 +220,52 @@ def test_adjacent_pattern_quotient():
         assert pp.adjacent_pattern_quotient(pp.descending(5), i) == pp.ascending(4)
     with pytest.raises(ValueError):
         pp.adjacent_pattern_quotient(P("2413"), 4)
+
+
+# ---------------------------------------------------------------------------
+# the word kernels against their definitions over positions, kept here
+
+def _compose_reference(f, g):
+    return bytes(f[x - 1] for x in g)
+
+
+def _inverse_reference(word):
+    return bytes(word.index(v) + 1 for v in range(1, len(word) + 1))
+
+
+def _jumps_reference(p):
+    adjacent = {(min(x, y), max(x, y)) for x, y in zip(p.word, p.word[1:])}
+    return tuple(sorted((a, b) for a, b in adjacent if a <= b - 2))
+
+
+def test_word_kernels_match_their_references():
+    # every word of degree 1..7; products of every pair up to degree 5, and
+    # above it of each word with itself, its reversal, its inverse and one
+    # fixed word of its degree
+    rng = random.Random(7)
+    for n in range(1, 8):
+        words = list(map(bytes, itertools.permutations(range(1, n + 1))))
+        fixed = bytes(rng.sample(range(1, n + 1), n))
+        for w in words:
+            inv = _inverse_reference(w)
+            assert _inverse_word(w) == inv, w
+            p = Perm(w)
+            assert p == Perm(tuple(w)) and p.word == w
+            assert pp.jumps(p) == _jumps_reference(p), w
+            for g in words if n <= 5 else (w, w[::-1], inv, fixed):
+                assert _compose_words(w, g) == _compose_reference(w, g), (w, g)
+    for _ in range(50):
+        f, g = (bytes(rng.sample(range(1, 17), 16)) for _ in range(2))
+        assert _compose_words(f, g) == _compose_reference(f, g)
+        assert _inverse_word(f) == _inverse_reference(f)
+
+
+@pytest.mark.parametrize("word", [b"\1\1", b"\2\2\1", b"\0\1", b"\1\3"])
+def test_perm_refuses_a_bytes_non_permutation_as_its_tuple_form(word):
+    message = f"not a permutation of 1..{len(word)}: {tuple(word)!r}"
+    for form in (word, tuple(word)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Perm(form)
 
 
 @given(st.permutations(list(range(1, 7))), st.permutations(list(range(1, 5))))

@@ -215,6 +215,11 @@ _TAMPERS = [
      {"group": "gens:5:(1 2 3 4 5)", "family": "cyclic"}),
     (verify_mod, "comp_set", _empty_comp, "law-comp-direct-agreement",
      {"l": 2, "m": 4, "set": ["12", "21"]}),
+    # the level step itself, under comp_set: law-galois-transitivity and
+    # law-galois-monotonicity cannot see an empty step, since both of their
+    # sides walk the same steps and an empty level keeps every inclusion
+    (galois_mod, "_comp_step", lambda words, k, *args: frozenset(), "law-comp-direct-agreement",
+     {"l": 2, "m": 4, "set": ["12", "21"]}),
     (verify_mod, "comp_set", _complement_comp, "law-galois-monotonicity",
      {"kind": "comp", "l": 3, "n": 6}),
     (verify_mod, "comp_set", _complement_comp, "law-galois-transitivity",
@@ -307,18 +312,38 @@ def test_partition_suites_check_each_distinct_partition_once(
 
 
 def test_young_join_closes_each_unordered_pair_once(monkeypatch):
-    # 74 Young subgroups of degree 2..5 and 1516 joins: the 1442 unordered
-    # pairs of distinct partitions and the 74 pairs p = q
-    calls = []
-    real = groups_mod.PermGroup.closure.__func__
+    # 74 Young subgroups of degree 2..5, each closed once, and 1516 joins:
+    # the 1442 unordered pairs of distinct partitions and the 74 pairs p = q,
+    # each S_q's generators extending S_p; a second run counts as many again,
+    # so nothing is kept between runs
+    closures, joins = [], []
+    real_closure = groups_mod.PermGroup.closure.__func__
+    real_join = parts.join
 
-    def counting(cls, generators, degree, *args):
-        calls.append(degree)
-        return real(cls, generators, degree, *args)
+    def counting_closure(cls, generators, degree, *args):
+        closures.append(degree)
+        return real_closure(cls, generators, degree, *args)
 
-    monkeypatch.setattr(groups_mod.PermGroup, "closure", classmethod(counting))
-    assert _run_law_suite("law-young-join-generation").status == "pass"
-    assert len(calls) == 1590
+    def counting_join(p, q):
+        joins.append((p, q))
+        return real_join(p, q)
+
+    monkeypatch.setattr(groups_mod.PermGroup, "closure", classmethod(counting_closure))
+    monkeypatch.setattr(parts, "join", counting_join)
+    for runs in (1, 2):
+        assert _run_law_suite("law-young-join-generation").status == "pass"
+        assert (len(closures), len(joins)) == (74 * runs, 1516 * runs)
+
+
+def test_block_fixing_filter_matches_its_definition():
+    # the translate by the label table against the per-point definition: w
+    # maps every block onto itself when each point keeps its block's label
+    for n in range(2, 6):
+        words = list(map(bytes, itertools.permutations(range(1, n + 1))))
+        for p in verify_mod._all_partitions(n):
+            label = p.block_index
+            fixing = {w for w in words if all(label[w[x - 1]] == label[x] for x in label)}
+            assert parts._block_fixing(p, words) == fixing
 
 
 def test_eventual_onset():
