@@ -7,8 +7,11 @@ otherwise.  It also names the eventual family the sequence settles into and a
 bound on how many levels that takes.  Each class is stated once, in one branch
 of ``Classification``: its kind, level rule, citation, family and bound.  Every
 settled level is the family's member at its degree: a class's own rule covers
-only the levels before it settles.  Everything here is verified against the
-brute-force engine by the verifier module.
+only the levels before it settles.  Above S_n every level is S_m, and
+that one family member is named, not built: its prediction carries no
+group, and the verifier checks the oracle level by its order m!.
+Everything here is verified against the brute-force engine by the verifier
+module.
 """
 from __future__ import annotations
 
@@ -22,6 +25,7 @@ from . import partitions as parts
 from .groups import (
     DEFAULT_ELEMENT_CAP,
     PermGroup,
+    _check_symmetric_order,
     _young_generators,
     _young_order,
     dihedral_interval_group,
@@ -29,7 +33,6 @@ from .groups import (
     natural_dihedral_group,
     partition_automorphisms,
     sab_group,
-    symmetric_group,
     young_subgroup,
     young_with_reversal,
 )
@@ -99,7 +102,11 @@ class EventualFamily(NamedTuple):
 
 
 class Prediction(NamedTuple):
-    """Classifier output for one level above the input group."""
+    """Classifier output for one level above the input group: the level
+    itself (``exact``), or a sandwich ``lower`` <= level <= ``upper``.  When
+    all three are None the level is the symmetric group S_m at ``degree``,
+    named rather than built: it holds every word of degree m, so its order
+    m! decides it among subsets of S_m."""
 
     degree: int
     exact: PermGroup | None
@@ -230,7 +237,9 @@ def _reversal_young_shape(g: PermGroup, element_cap: int) -> parts.Partition | N
 
 
 def _value_symmetric(g, i, element_cap):
-    return symmetric_group(g.degree + i, element_cap), None, None, ("comp-symmetric-step",)
+    # every level is S_m, named by the family and never built; past the cap
+    # it is refused as building it would be
+    _check_symmetric_order(g.degree + i, element_cap)
 
 
 def _value_alternating(g, i, element_cap):
@@ -320,7 +329,7 @@ class Classification:
         # the citation of the levels the family gives, the family and the bound.
         if g.order == math.factorial(n):
             kind, rule = ClassKind.SYMMETRIC, _value_symmetric
-            cite, family, bound = None, EventualFamily("symmetric"), 0
+            cite, family, bound = "comp-symmetric-step", EventualFamily("symmetric"), 0
         elif g.order == math.factorial(n) // 2 and all(_is_even_word(w) for w in g.generator_words):
             # the second level collapses to the reversal group, the natural
             # dihedral group, the trivial group or the natural cyclic group as

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .classify import Classification, Prediction, predict_level
 from .galois import comp_set, iter_levels, pat_set
-from .groups import DEFAULT_ELEMENT_CAP, PermGroup, PermSet, parse_group
+from .groups import DEFAULT_ELEMENT_CAP, PermGroup, PermSet, parse_group, symmetric_group
 from .perms import CapExceeded, Perm, _check_depth, format_perm, parse_perm
 from .verify import verify_catalog, verify_group, verify_laws
 
@@ -146,7 +147,16 @@ def _cmd_comp(args: argparse.Namespace) -> int:
 
 def _prediction_payload(pred: Prediction) -> dict:
     level: dict = {"degree": pred.degree}
-    if pred.exact is not None:
+    if pred.exact is pred.lower is pred.upper is None:
+        # S_m, named by its degree: built only when its elements are printed
+        m = pred.degree
+        size = math.factorial(m)
+        level["exact"] = (
+            _set_payload(m, symmetric_group(m).word_set)
+            if size <= PRINT_CAP
+            else {"degree": m, "size": size}
+        )
+    elif pred.exact is not None:
         level["exact"] = _set_payload(pred.exact.degree, pred.exact.word_set)
     else:
         level["lower"] = _set_payload(pred.lower.degree, pred.lower.word_set)

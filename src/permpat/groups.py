@@ -399,10 +399,15 @@ def trivial_group(n: int) -> PermGroup:
     return PermGroup.closure((), n)
 
 
-def symmetric_group(n: int, element_cap: int = DEFAULT_ELEMENT_CAP) -> PermGroup:
-    _check_degree(n)
+def _check_symmetric_order(n: int, element_cap: int) -> None:
+    """Refuse S_n when its order n! passes the element cap."""
     if math.factorial(n) > element_cap:
         raise CapExceeded(f"|S_{n}| = {math.factorial(n)} exceeds the cap {element_cap}")
+
+
+def symmetric_group(n: int, element_cap: int = DEFAULT_ELEMENT_CAP) -> PermGroup:
+    _check_degree(n)
+    _check_symmetric_order(n, element_cap)
     words = map(bytes, itertools.permutations(range(1, n + 1)))
     gens: tuple[Word, ...]
     if n == 1:

@@ -27,6 +27,7 @@ from .groups import (
     PermGroup,
     PermSet,
     _check_subgroup_degree,
+    _check_symmetric_order,
     _extend,
     describe_group,
     enumerate_subgroups,
@@ -110,6 +111,14 @@ def verify_prediction(
 
 
 def _compare_level(pred: Prediction, oracle: AbstractSet[Word], level: int) -> dict | None:
+    if pred.exact is pred.lower is pred.upper is None:
+        # S_m, named: every oracle word is a permutation of degree m, so the
+        # level is S_m exactly when it has m! words.  S_m is built only to
+        # show a miss, under a cap of its own order, so a miss never skips.
+        order = math.factorial(pred.degree)
+        if len(oracle) == order:
+            return None
+        pred = pred._replace(exact=symmetric_group(pred.degree, order))
     if pred.exact is not None:
         checks = [("exact", pred.exact.word_set, pred.exact.word_set == oracle)]
     else:
@@ -135,10 +144,8 @@ def _compare_level(pred: Prediction, oracle: AbstractSet[Word], level: int) -> d
 def _family_candidates(g: PermGroup) -> list[EventualFamily]:
     """Families whose member at this degree equals ``g``, in priority order."""
     out = []
-    if g.order == math.factorial(g.degree):
-        out.append(EventualFamily("symmetric"))
-    for desc in (True, False):
-        fam = EventualFamily("cyclic", desc)
+    cyclic = EventualFamily("cyclic", True), EventualFamily("cyclic", False)
+    for fam in (EventualFamily("symmetric"), *cyclic):
         if fam.matches(g):
             out.append(fam)
     a, b = g.largest_ab()
@@ -226,8 +233,7 @@ def verify_catalog(
     # cap), or S_n (which enumerate_subgroups builds) past the cap
     _check_depth(depth)
     _check_subgroup_degree(n)
-    if math.factorial(n) > element_cap:
-        raise CapExceeded(f"|S_{n}| = {math.factorial(n)} exceeds the cap {element_cap}")
+    _check_symmetric_order(n, element_cap)
     reports = [
         r
         for g in enumerate_subgroups(n)

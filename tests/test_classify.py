@@ -13,6 +13,7 @@ from permpat.classify import Classification, EventualFamily, _alternating_next_g
 from permpat.galois import iter_levels
 from permpat.groups import describe_group
 from permpat.perms import _compose_words
+from permpat.verify import _compare_level
 
 
 def _oracle(g, m):
@@ -47,7 +48,12 @@ def test_dispatch_total_on_degree4_catalog():
 
 
 def test_predict_symmetric_trivial_desc():
-    assert pp.predict_level(pp.symmetric_group(4), 1).exact == pp.symmetric_group(5)
+    # the level above S_4 is S_5, named by its degree and checked by order
+    pred = pp.predict_level(pp.symmetric_group(4), 1)
+    assert pred[:4] == (5, None, None, None)
+    assert pred.eventual == EventualFamily("symmetric")
+    assert pred.citations == ("comp-symmetric-step",)
+    assert _compare_level(pred, pp.comp_set(pp.symmetric_group(4), 5).word_set, 1) is None
     assert pp.predict_level(pp.trivial_group(3), 1).exact == pp.trivial_group(4)
     assert pp.predict_level(pp.descending_group(4), 1).exact == pp.descending_group(5)
     assert pp.predict_level(pp.descending_group(4), 3).exact == pp.descending_group(7)
@@ -298,7 +304,7 @@ def test_classifier_tightness_on_catalogs_4_and_5():
         for g in pp.enumerate_subgroups(n):
             for k, words in iter_levels(g, len(levels)):
                 pred, c = pp.predict_level(g, k - n), counts[k - n - 1]
-                if pred.exact is not None:
+                if pred.lower is None:  # exact, or S_m named by its degree
                     c["exact"] += 1
                 else:
                     c["sandwich"] += 1

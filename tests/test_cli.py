@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -248,6 +249,31 @@ def test_classify_byte_deterministic(capsys):
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("--format", "json", "classify", "--group", "S:3", "--depth", "2"),
+            "f6e9d5bfa5fb3c66658694dd3c5cd2582fb465bcf850e91ddc778ff2b1970d48",
+        ),
+        (
+            ("--format", "json", "classify", "--group", "S:5", "--depth", "2"),
+            "a7a9f4fca27c9293a1bd5e7b26f58f84a2c3c1adac123585ecfe2f7f3e1a432e",
+        ),
+        (
+            ("classify", "--group", "S:4", "--depth", "2"),
+            "b5f18d17e6af8b5cb817481a0ee6aa0da3c7530e11fa2b2cb40003d35857f6c6",
+        ),
+    ],
+)
+def test_classify_symmetric_output_is_pinned(capsys, argv, digest):
+    # the levels above S_n are named, not built, and print as S_m did when
+    # built: its elements up to PRINT_CAP words (S_4, S_5), past it the size
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_classify_citations_present(capsys):

@@ -231,20 +231,22 @@ def test_one_multiplication():
     assert not found and defined == ["perms.py"] and not tables, (found, defined, tables)
 
 
-@pytest.mark.parametrize(
-    "wording",
-    [
-        "level degree {MAX_DEGREE + 1} exceeds the cap {MAX_DEGREE}",
-        "1..{MAX_DEGREE}, got",
-        '"depth must be >= 1"',
-    ],
-)
+#: Each refusal's wording and the one module that writes it.
+_REFUSALS = {
+    "level degree {MAX_DEGREE + 1} exceeds the cap {MAX_DEGREE}": "perms.py",
+    "1..{MAX_DEGREE}, got": "perms.py",
+    '"depth must be >= 1"': "perms.py",
+    "|S_{n}| = {math.factorial(n)} exceeds the cap": "groups.py",
+}
+
+
+@pytest.mark.parametrize("wording", list(_REFUSALS))
 def test_one_degree_refusal(wording):
     # the level-degree refusal (perms._check_level_degree), the degree range
-    # (perms._check_degree) and the depth refusal (perms._check_depth) are
-    # each written once
+    # (perms._check_degree), the depth refusal (perms._check_depth) and the
+    # S_n cap refusal (groups._check_symmetric_order) are each written once
     found = [p.name for p in SRC.glob("*.py") for _ in range(p.read_text().count(wording))]
-    assert found == ["perms.py"], f"{wording!r} written in {found}"
+    assert found == [_REFUSALS[wording]], f"{wording!r} written in {found}"
 
 
 def _module_names(tree: ast.Module) -> set[str]:

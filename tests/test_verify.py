@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import sys
 
 import pytest
 
@@ -10,6 +11,7 @@ from permpat import groups as groups_mod
 from permpat import partitions as parts
 from permpat import perms as perms_mod
 from permpat import verify as verify_mod
+from permpat.cli import main
 from permpat.verify import _family_candidates
 
 
@@ -39,6 +41,46 @@ def test_verify_prediction_fails_below_cap(monkeypatch):
     report = pp.verify_prediction(pp.symmetric_group(4), 3, element_cap=200)
     assert report.status == "fail"
     assert report.counterexample["level"] == 1
+
+
+def test_verify_prediction_checks_a_named_level_by_order(monkeypatch):
+    # the level above S_n is named, not built, and a level short of m! words
+    # fails its order check: a failure, not a skip
+    real = verify_mod.iter_levels
+
+    def short(*args, **kwargs):
+        for k, words in real(*args, **kwargs):
+            yield k, words - {max(words)}
+
+    monkeypatch.setattr(verify_mod, "iter_levels", short)
+    report = pp.verify_prediction(pp.symmetric_group(4), 2)
+    assert report.status == "fail"
+    cx = report.counterexample
+    assert (cx["level"], cx["mode"]) == (1, "exact")
+    assert cx["expected"]["size"] == 120 and cx["actual"]["size"] == 119
+    assert cx["expected"]["members"][:2] == ["12345", "12354"]
+
+
+def test_no_symmetric_group_is_built_for_a_prediction(monkeypatch, capsys):
+    # the levels above S_n are named by their degree: a catalog pass and
+    # `levels` build no S_m above the degree of the groups they start from
+    built = []
+    for name, mod in list(sys.modules.items()):
+        real = getattr(mod, "symmetric_group", None)
+        if name.split(".")[0] == "permpat" and real is not None:
+
+            def record(n, *args, real=real, **kwargs):
+                built.append(n)
+                return real(n, *args, **kwargs)
+
+            monkeypatch.setattr(mod, "symmetric_group", record)
+    reports = pp.verify_catalog(4, 4)
+    assert all(r.status == "pass" for r in reports)
+    assert all(n <= 4 for n in built), built
+    built.clear()
+    assert main(["levels", "--group", "S:6", "--depth", "1"]) == 0
+    assert capsys.readouterr().out == "level 7: size 5040 [eventual family]\n"
+    assert built == [6]
 
 
 def test_verify_catalog_small():
