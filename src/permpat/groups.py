@@ -51,9 +51,10 @@ from .perms import (
 DEFAULT_ELEMENT_CAP = 500_000
 
 
-def _coset(r: Word, base: Iterable[Word]) -> Iterator[Word]:
-    """The left coset r H of the words ``base`` of H, lazily."""
-    return map(bytes.translate, base, itertools.repeat(_times(r)))
+def _coset(times: bytes, base: Iterable[Word]) -> Iterator[Word]:
+    """The left coset r H of the words ``base`` of H, lazily, given r's
+    product table ``times = _times(r)``."""
+    return map(bytes.translate, base, itertools.repeat(times))
 
 
 def _extend(elems: set[Word], gens: list[Word], g: Word, element_cap: int) -> None:
@@ -69,22 +70,22 @@ def _extend(elems: set[Word], gens: list[Word], g: Word, element_cap: int) -> No
     gens.append(g)
     base = list(elems)
     reps: list[Word] = []
+    tables = list(map(_times, gens))
 
-    def add_coset(r: Word) -> None:
+    def add_coset(r: Word, times: bytes) -> None:
         reps.append(r)
-        elems.update(_coset(r, base))
+        elems.update(_coset(times, base))
         if len(elems) > element_cap:
             raise CapExceeded(
                 f"closure exceeded the element cap of {element_cap} "
                 f"(degree {len(r)}, {len(elems)} elements reached)"
             )
 
-    add_coset(g)
-    tables = list(map(_times, gens))
+    add_coset(g, tables[-1])
     for r in reps:  # grows while it is scanned
         for prod in map(r.translate, tables):
             if prod not in elems:
-                add_coset(prod)
+                add_coset(prod, _times(prod))
 
 
 def _closes_to(wset: frozenset[Word], elems: set[Word], gens: list[Word], g: Word, m: int) -> bool:
@@ -110,7 +111,7 @@ def _closes_to(wset: frozenset[Word], elems: set[Word], gens: list[Word], g: Wor
     return (
         len(reps) + 1 == m
         and wset.issuperset(elems)
-        and all(wset.issuperset(_coset(r, elems)) for r in reps)
+        and all(wset.issuperset(_coset(_times(r), elems)) for r in reps)
     )
 
 
@@ -444,7 +445,11 @@ def natural_cyclic_group(n: int) -> PermGroup:
     return PermGroup.closure([natural_cycle(n).word], n)
 
 
+@functools.lru_cache(maxsize=None)
 def natural_dihedral_group(n: int) -> PermGroup:
+    """D_n, generated by the natural cycle and the reversal; built once per
+    degree and kept (at most 32 words), since ``dihedral_interval_group`` and
+    the classifier ask for the same few again and again."""
     z, d = natural_cycle(n).word, descending(n).word
     return PermGroup.closure([z, d], n)
 
@@ -697,7 +702,7 @@ def _subgroup_catalog(n: int) -> tuple[tuple[tuple[Word, ...], frozenset[Word]],
         for g in extenders:
             if g not in covered:
                 # cover the double coset HgH: every a·g·b with a, b in H
-                for gb in _coset(g, base):
+                for gb in _coset(_times(g), base):
                     covered.update(map(gb.translate, tables))
                 push(grow(elems, gens, g), gens + (g,))
     # kept for the process: each element set refers to the words of S_n, so

@@ -153,18 +153,26 @@ def _is_even_word(word: Sequence[int]) -> bool:
 # ---------------------------------------------------------------------------
 # constructors
 
+# The identity, the reversal and the natural cycle are built once per degree
+# and kept, like every memo in the package, in a ``functools.lru_cache``: a
+# ``Perm`` is immutable, and every closure starts from ``ascending(n).word``.
+# A refused degree raises and is not kept.
+
+@functools.lru_cache(maxsize=None)
 def ascending(n: int) -> Perm:
     """The identity word 1 2 ... n."""
     _check_degree(n)
     return Perm(range(1, n + 1))
 
 
+@functools.lru_cache(maxsize=None)
 def descending(n: int) -> Perm:
     """The reversal word n (n-1) ... 1."""
     _check_degree(n)
     return Perm(range(n, 0, -1))
 
 
+@functools.lru_cache(maxsize=None)
 def natural_cycle(n: int) -> Perm:
     """The word 2 3 ... n 1, i.e. the cycle (1 2 ... n)."""
     _check_degree(n)
@@ -186,14 +194,23 @@ def ajd(n: int, length: int) -> Perm:
 def _check_permutation(word: Sequence[int]) -> Word:
     """Refuse a word that is not a permutation of 1..n, n = len(word), with
     1 <= n <= MAX_DEGREE: the check behind ``Perm`` and the group closure.
-    Return the word as ``bytes``."""
+    Return the word as exact ``bytes``.
+
+    A ``bytes`` word is checked by one translate: deleting its values from
+    1..n leaves nothing exactly when each of 1..n occurs in it, and with n
+    values that makes it a permutation.  Any other sequence is sorted and
+    compared with 1..n."""
     n = len(word)
     _check_degree(n)
-    try:
-        if sorted(word) == list(range(1, n + 1)):
+    if isinstance(word, bytes):
+        if not _IDENTITY_TABLE[1 : n + 1].translate(None, word):
             return bytes(word)
-    except TypeError:  # values that do not compare, or 1.0: equal to 1 but no int
-        pass
+    else:
+        try:
+            if sorted(word) == list(range(1, n + 1)):
+                return bytes(word)
+        except TypeError:  # values that do not compare, or 1.0: equal to 1 but no int
+            pass
     raise ValueError(f"not a permutation of 1..{n}: {tuple(word)!r}")
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import permpat as pp
 from permpat import groups as groups_mod
 from permpat import perms as perms_mod
+from permpat.classify import EventualFamily
 from permpat.galois import iter_levels
 from permpat.groups import DEFAULT_ELEMENT_CAP, PermGroup, PermSet, _generate
 
@@ -352,6 +353,41 @@ def test_young_with_reversal_matches_closing_the_young_subgroup():
     assert count == 1 + 2 + 5 + 15 + 52 + 203  # Bell numbers
     with pytest.raises(pp.CapExceeded, match="Young subgroup order 120 exceeds the cap 100"):
         pp.young_with_reversal(pp.parse_partition("1,2,3,4,5|6"), 100)
+
+
+def test_natural_dihedral_group_is_built_once_per_degree():
+    dihedral = pp.natural_dihedral_group
+    for k in range(1, perms_mod.MAX_DEGREE + 1):
+        assert dihedral(k) is dihedral(k)
+        if k >= 3:
+            assert dihedral(k).order == 2 * k
+    kept = dihedral.cache_info().currsize
+    for k in (0, perms_mod.MAX_DEGREE + 1):
+        for _ in range(2):  # a refused degree is not kept, so it raises again
+            with pytest.raises(ValueError, match=rf"^degree must be in 1\.\.16, got {k}$"):
+                dihedral(k)
+    assert dihedral.cache_info().currsize == kept
+
+
+@pytest.fixture
+def fresh_dihedral():
+    """Empties the D_k memo, and the family members kept above it, before
+    and after the test; yields the memo's ``cache_info``."""
+    memos = (groups_mod.natural_dihedral_group, EventualFamily.group_at)
+    for memo in memos:
+        memo.cache_clear()
+    yield groups_mod.natural_dihedral_group.cache_info
+    for memo in memos:
+        memo.cache_clear()
+
+
+def test_catalog_passes_close_each_dihedral_group_once(fresh_dihedral):
+    # the two passes of the catalog benchmark ask for D_3 .. D_8 428 times,
+    # 420 of them from dihedral_interval_group, and close each once
+    reports = pp.verify_catalog(5, 3) + pp.verify_catalog(4, 4)
+    assert all(r.status == "pass" for r in reports)
+    info = fresh_dihedral()
+    assert (info.misses, info.currsize, info.hits + info.misses) == (6, 6, 428)
 
 
 def test_dihedral_interval():

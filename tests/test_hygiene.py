@@ -9,18 +9,23 @@ Imports sit at module level only and follow the layer order ``LAYERS``, and
 a ``PermGroup`` is constructed directly only where its element set is
 produced or checked by the closure, or is all of S_n.  Module state lives
 only in ``functools`` caches: no function declares a name ``global`` or
-assigns through a subscript of a module-level name.  The level-degree
+assigns through a subscript of a module-level name, and every cached
+function returns an immutable value, while S_n, A_n and the Young and
+block-automorphism groups are not cached.  The level-degree
 refusal, the degree range and the depth refusal are each worded once, every
 law suite in ``verify`` has a docstring, a product of words is built in one
 place, and ``Word`` is defined once, with no word converted between tuples
 and bytes.
 """
 import ast
+import inspect
 import re
 from pathlib import Path
 from typing import Iterator
 
 import pytest
+
+from permpat import groups as groups_mod
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "permpat"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -286,6 +291,75 @@ def test_module_state_lives_only_in_functools_caches(path):
                 if isinstance(base, ast.Name) and base.id in shared:
                     found.append(f"{name}: {base.id}[...] assigned")
     assert not found, f"{path.name} keeps module state by hand: {found}"
+
+
+#: The types a memo may return: one value then serves every caller, so it
+#: must be one no caller can change.  ``Word`` is ``bytes``.
+_IMMUTABLE_RETURNS = {
+    "tuple", "frozenset", "bytes", "Word", "Perm", "PermGroup", "Partition", "None"
+}
+
+#: Named groups that are not memoized: kept per process, the S_n, A_n, Young,
+#: Sab and block-automorphism groups cost more memory than their closures
+#: cost time.
+_UNCACHED_GROUPS = (
+    "symmetric_group",
+    "alternating_group",
+    "young_subgroup",
+    "young_with_reversal",
+    "sab_group",
+    "partition_automorphisms",
+)
+
+
+def _last_name(node: ast.expr) -> str | None:
+    """``x`` for the expression ``x`` or ``a.b.x``."""
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def _is_cache(decorator: ast.expr) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return _last_name(target) in ("lru_cache", "cache")
+
+
+def _unlisted_types(annotation: ast.expr | None) -> list[str]:
+    """The types in a return annotation that ``_IMMUTABLE_RETURNS`` does not
+    list; a missing annotation counts as one."""
+    if annotation is None:
+        return ["no annotation"]
+    if isinstance(annotation, ast.BinOp) and isinstance(annotation.op, ast.BitOr):
+        return _unlisted_types(annotation.left) + _unlisted_types(annotation.right)
+    if isinstance(annotation, ast.Subscript):
+        args = annotation.slice
+        elts = args.elts if isinstance(args, ast.Tuple) else [args]
+        return _unlisted_types(annotation.value) + [t for e in elts for t in _unlisted_types(e)]
+    if isinstance(annotation, ast.Constant) and annotation.value in (None, Ellipsis):
+        return []
+    return [] if _last_name(annotation) in _IMMUTABLE_RETURNS else [ast.unparse(annotation)]
+
+
+def test_memos_return_immutable_values():
+    # a memo hands the same value to every caller, so a list, set or dict
+    # it returned could be changed by one caller under the others
+    cached, found = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for name, fn in _functions(ast.parse(path.read_text())):
+            if any(_is_cache(d) for d in fn.decorator_list):
+                cached.append(f"{path.stem}.{name}")
+                bad = _unlisted_types(fn.returns)
+                if bad:
+                    found.append(f"{path.stem}.{name}: {bad}")
+    assert {"perms.ascending", "groups.natural_dihedral_group"} <= set(cached), cached
+    assert not found, f"memos returning a mutable value: {found}"
+    assert _unlisted_types(ast.parse("tuple[list[Word], ...] | dict", mode="eval").body) == [
+        "list", "dict"
+    ]
+
+
+@pytest.mark.parametrize("name", _UNCACHED_GROUPS)
+def test_large_named_groups_are_not_memoized(name):
+    fn = getattr(groups_mod, name)
+    assert inspect.isfunction(fn) and not hasattr(fn, "cache_info"), f"{name} is memoized"
 
 
 def test_every_law_suite_has_a_docstring():

@@ -9,6 +9,7 @@ import permpat as pp
 from permpat import Perm
 from permpat.perms import (
     MAX_DEGREE,
+    _check_permutation,
     _compose_words,
     _delete_word,
     _inverse_word,
@@ -266,6 +267,63 @@ def test_perm_refuses_a_bytes_non_permutation_as_its_tuple_form(word):
     for form in (word, tuple(word)):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Perm(form)
+
+
+def _permutation_check_outcome(word):
+    """What ``_check_permutation`` does with ``word``: the exact type and
+    value it returns, or the message it raises."""
+    try:
+        got = _check_permutation(word)
+    except ValueError as exc:
+        return "refused", str(exc)
+    return type(got), got
+
+
+def test_bytes_permutation_check_agrees_with_the_tuple_path():
+    # the bytes branch is one translate; the tuple path sorts. Every bytes
+    # word of length 1..4 over the values 0..5, and 200 seeded permutations
+    # of 1..16, every second one with one value overwritten
+    words = [bytes(w) for n in range(1, 5) for w in itertools.product(range(6), repeat=n)]
+    rng = random.Random(30)
+    for i in range(200):
+        w = rng.sample(range(1, 17), 16)
+        if i % 2:
+            w[rng.randrange(16)] = rng.randrange(256)
+        words.append(bytes(w))
+    outcomes = {"accepted": 0, "refused": 0}
+    for w in words:
+        got = _permutation_check_outcome(w)
+        assert got == _permutation_check_outcome(tuple(w)), w
+        outcomes["refused" if got[0] == "refused" else "accepted"] += 1
+    assert outcomes["accepted"] > 100 and outcomes["refused"] > 1000, outcomes
+
+
+@pytest.mark.parametrize("word", [b"", bytes(range(1, 18)), bytes(17)])
+def test_bytes_permutation_check_refuses_the_degree_first(word):
+    message = f"degree must be in 1..16, got {len(word)}"
+    assert _permutation_check_outcome(word) == ("refused", message)
+    assert _permutation_check_outcome(tuple(word)) == ("refused", message)
+
+
+def test_bytes_permutation_check_returns_exact_bytes():
+    class Sub(bytes):
+        pass
+
+    word = Sub(b"\2\3\1")
+    got = _check_permutation(word)
+    assert type(got) is bytes and got == word
+
+
+@pytest.mark.parametrize("build", [pp.ascending, pp.descending, pp.natural_cycle])
+def test_named_words_are_built_once_per_degree(build):
+    for n in range(1, MAX_DEGREE + 1):
+        assert build(n) is build(n)
+    kept = build.cache_info().currsize
+    for n in (0, MAX_DEGREE + 1):
+        for _ in range(2):  # a refused degree is not kept, so it raises again
+            with pytest.raises(ValueError, match=rf"^degree must be in 1\.\.16, got {n}$"):
+                build(n)
+    assert build.cache_info().currsize == kept
 
 
 @given(st.permutations(list(range(1, 7))), st.permutations(list(range(1, 5))))
