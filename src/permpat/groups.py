@@ -51,10 +51,9 @@ from .perms import (
 DEFAULT_ELEMENT_CAP = 500_000
 
 
-def _coset(times: bytes, base: Iterable[Word]) -> Iterator[Word]:
-    """The left coset r H of the words ``base`` of H, lazily, given r's
-    product table ``times = _times(r)``."""
-    return map(bytes.translate, base, itertools.repeat(times))
+def _coset(r: Word, base: Iterable[Word]) -> Iterator[Word]:
+    """The left coset r H of the words ``base`` of H, lazily."""
+    return map(bytes.translate, base, itertools.repeat(_times(r)))
 
 
 def _extend(elems: set[Word], gens: list[Word], g: Word, element_cap: int) -> None:
@@ -74,7 +73,7 @@ def _extend(elems: set[Word], gens: list[Word], g: Word, element_cap: int) -> No
 
     def add_coset(r: Word, times: bytes) -> None:
         reps.append(r)
-        elems.update(_coset(times, base))
+        elems.update(map(bytes.translate, base, itertools.repeat(times)))
         if len(elems) > element_cap:
             raise CapExceeded(
                 f"closure exceeded the element cap of {element_cap} "
@@ -111,7 +110,7 @@ def _closes_to(wset: frozenset[Word], elems: set[Word], gens: list[Word], g: Wor
     return (
         len(reps) + 1 == m
         and wset.issuperset(elems)
-        and all(wset.issuperset(_coset(_times(r), elems)) for r in reps)
+        and all(wset.issuperset(_coset(r, elems)) for r in reps)
     )
 
 
@@ -189,24 +188,29 @@ class PermSet:
     The set has no stored order: iteration sorts on the way out, so callers
     that print or choose deterministically see sorted words.  A frozenset
     passed in is kept as it is, not copied (``frozenset(fs) is fs``).  A
-    member that is not ``bytes``, or of another degree, is refused.
+    member that is not ``bytes``, or of another degree, is refused.  Like a
+    ``Perm``, a set is immutable, so a memo may hand one to every caller.
     """
 
     __slots__ = ("degree", "word_set")
 
     def __init__(self, degree: int, words: Iterable[Word]):
         _check_degree(degree)
-        self.degree = degree
-        self.word_set = frozenset(words)
+        word_set = frozenset(words)
         try:
-            lengths = set(map(bytes.__len__, self.word_set))
+            lengths = set(map(bytes.__len__, word_set))
         except TypeError:
-            for w in self.word_set:
+            for w in word_set:
                 _check_bytes(w)
             raise
         if lengths - {degree}:
-            bad = next(len(w) for w in self.word_set if len(w) != degree)
+            bad = next(len(w) for w in word_set if len(w) != degree)
             raise ValueError(f"member degree {bad} != {degree}")
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "word_set", word_set)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __iter__(self) -> Iterator[Perm]:
         return (Perm(w) for w in sorted(self.word_set))
@@ -234,10 +238,10 @@ class PermGroup(PermSet):
     __slots__ = ("generator_words", "_orbits")
 
     def __init__(self, degree: int, generator_words: Sequence[Word], words: Iterable[Word]):
-        self.degree = degree
-        self.word_set = frozenset(words)
-        self.generator_words = tuple(generator_words)
-        self._orbits: Partition | None = None
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "word_set", frozenset(words))
+        object.__setattr__(self, "generator_words", tuple(generator_words))
+        object.__setattr__(self, "_orbits", None)  # built on the first ``orbits``
 
     # -- construction ------------------------------------------------------
 
@@ -344,7 +348,7 @@ class PermGroup(PermSet):
     def orbits(self) -> Partition:
         """The partition of {1..n} into orbits, computed once per group."""
         if self._orbits is None:
-            self._orbits = _orbit_partition(self.degree, self.generator_words)
+            object.__setattr__(self, "_orbits", _orbit_partition(self.degree, self.generator_words))
         return self._orbits
 
     def is_transitive(self) -> bool:
@@ -702,7 +706,7 @@ def _subgroup_catalog(n: int) -> tuple[tuple[tuple[Word, ...], frozenset[Word]],
         for g in extenders:
             if g not in covered:
                 # cover the double coset HgH: every a·g·b with a, b in H
-                for gb in _coset(_times(g), base):
+                for gb in _coset(g, base):
                     covered.update(map(gb.translate, tables))
                 push(grow(elems, gens, g), gens + (g,))
     # kept for the process: each element set refers to the words of S_n, so

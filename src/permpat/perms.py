@@ -196,21 +196,18 @@ def _check_permutation(word: Sequence[int]) -> Word:
     1 <= n <= MAX_DEGREE: the check behind ``Perm`` and the group closure.
     Return the word as exact ``bytes``.
 
-    A ``bytes`` word is checked by one translate: deleting its values from
-    1..n leaves nothing exactly when each of 1..n occurs in it, and with n
-    values that makes it a permutation.  Any other sequence is sorted and
-    compared with 1..n."""
+    The word is checked as ``bytes`` by one translate: deleting its values
+    from 1..n leaves nothing exactly when each of 1..n occurs in it, and
+    with n values that makes it a permutation."""
     n = len(word)
     _check_degree(n)
-    if isinstance(word, bytes):
-        if not _IDENTITY_TABLE[1 : n + 1].translate(None, word):
-            return bytes(word)
+    try:
+        b = bytes(word)
+    except (TypeError, ValueError):  # 1.0 or "2", or a value outside 0..255
+        pass
     else:
-        try:
-            if sorted(word) == list(range(1, n + 1)):
-                return bytes(word)
-        except TypeError:  # values that do not compare, or 1.0: equal to 1 but no int
-            pass
+        if not _IDENTITY_TABLE[1 : n + 1].translate(None, b):
+            return b
     raise ValueError(f"not a permutation of 1..{n}: {tuple(word)!r}")
 
 

@@ -219,6 +219,24 @@ def test_permset_and_group_with_the_same_words_are_equal():
     assert PermSet(5, g.word_set - {pp.natural_cycle(5).word}) != g
 
 
+def test_permset_and_group_are_immutable():
+    # the D_k memo hands one group to every caller, so none may change it
+    g = pp.natural_dihedral_group(5)
+    orbits = g.orbits()
+    for obj, name, value in [
+        (PermSet(5, g.word_set), "degree", 4),
+        (PermSet(5, g.word_set), "word_set", frozenset()),
+        (g, "degree", 4),
+        (g, "word_set", frozenset()),
+        (g, "generator_words", ()),
+        (g, "_orbits", None),
+    ]:
+        with pytest.raises(AttributeError, match=r"^Perm(Set|Group) is immutable$"):
+            setattr(obj, name, value)
+    assert g.degree == 5 and g.order == 10 and g.orbits() is orbits
+    assert pp.natural_dihedral_group(5) is g
+
+
 def test_group_iterates_in_sorted_order():
     g = pp.natural_dihedral_group(5)
     assert [p.word for p in g] == sorted(g.word_set)
@@ -382,12 +400,13 @@ def fresh_dihedral():
 
 
 def test_catalog_passes_close_each_dihedral_group_once(fresh_dihedral):
-    # the two passes of the catalog benchmark ask for D_3 .. D_8 428 times,
-    # 420 of them from dihedral_interval_group, and close each once
+    # the two passes of the catalog benchmark ask for D_3 .. D_8 again and
+    # again (428 times when this was written, 420 of them from
+    # dihedral_interval_group) and close each once
     reports = pp.verify_catalog(5, 3) + pp.verify_catalog(4, 4)
     assert all(r.status == "pass" for r in reports)
     info = fresh_dihedral()
-    assert (info.misses, info.currsize, info.hits + info.misses) == (6, 6, 428)
+    assert (info.misses, info.currsize) == (6, 6) and info.hits > 0
 
 
 def test_dihedral_interval():

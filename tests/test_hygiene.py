@@ -10,7 +10,8 @@ a ``PermGroup`` is constructed directly only where its element set is
 produced or checked by the closure, or is all of S_n.  Module state lives
 only in ``functools`` caches: no function declares a name ``global`` or
 assigns through a subscript of a module-level name, and every cached
-function returns an immutable value, while S_n, A_n and the Young and
+function returns an immutable value (the package's own such classes refuse
+attribute assignment), while S_n, A_n and the Young and
 block-automorphism groups are not cached.  The level-degree
 refusal, the degree range and the depth refusal are each worded once, every
 law suite in ``verify`` has a docstring, a product of words is built in one
@@ -25,6 +26,7 @@ from typing import Iterator
 
 import pytest
 
+import permpat as pp
 from permpat import groups as groups_mod
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "permpat"
@@ -354,6 +356,27 @@ def test_memos_return_immutable_values():
     assert _unlisted_types(ast.parse("tuple[list[Word], ...] | dict", mode="eval").body) == [
         "list", "dict"
     ]
+
+
+def test_package_classes_a_memo_may_return_refuse_assignment():
+    # the names above are immutable in fact, not only by name: every field
+    # of a sample value of each of the package's own classes is read-only
+    samples = {
+        "Perm": pp.ascending(3),
+        "PermGroup": pp.natural_dihedral_group(3),
+        "Partition": pp.parse_partition("1,2|3"),
+    }
+    builtin = {"tuple", "frozenset", "bytes", "Word", "None"}
+    assert set(samples) == _IMMUTABLE_RETURNS - builtin
+    for name, value in samples.items():
+        assert type(value).__name__ == name
+        fields = getattr(value, "_fields", None) or [
+            f for cls in type(value).__mro__ for f in getattr(cls, "__slots__", ())
+        ]
+        assert fields, name
+        for field in fields:
+            with pytest.raises(AttributeError):
+                setattr(value, field, None)
 
 
 @pytest.mark.parametrize("name", _UNCACHED_GROUPS)

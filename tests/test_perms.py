@@ -279,22 +279,29 @@ def _permutation_check_outcome(word):
     return type(got), got
 
 
-def test_bytes_permutation_check_agrees_with_the_tuple_path():
-    # the bytes branch is one translate; the tuple path sorts. Every bytes
-    # word of length 1..4 over the values 0..5, and 200 seeded permutations
-    # of 1..16, every second one with one value overwritten
-    words = [bytes(w) for n in range(1, 5) for w in itertools.product(range(6), repeat=n)]
+def test_permutation_check_agrees_on_bytes_and_tuples():
+    # every word of length 1..4 over the values 0..5, and 200 seeded
+    # permutations of 1..16, every second one with one value overwritten:
+    # given as bytes or as a tuple, a word is returned as exact bytes when
+    # itertools.permutations lists it, and refused with its values otherwise
+    cases = []
+    for n in range(1, 5):
+        listed = set(itertools.permutations(range(1, n + 1)))
+        cases += [(w, w in listed) for w in itertools.product(range(6), repeat=n)]
     rng = random.Random(30)
     for i in range(200):
         w = rng.sample(range(1, 17), 16)
         if i % 2:
-            w[rng.randrange(16)] = rng.randrange(256)
-        words.append(bytes(w))
+            at, value = rng.randrange(16), rng.randrange(256)
+            cases.append((tuple(w[:at] + [value] + w[at + 1 :]), value == w[at]))
+        else:
+            cases.append((tuple(w), True))
     outcomes = {"accepted": 0, "refused": 0}
-    for w in words:
-        got = _permutation_check_outcome(w)
-        assert got == _permutation_check_outcome(tuple(w)), w
-        outcomes["refused" if got[0] == "refused" else "accepted"] += 1
+    for w, listed in cases:
+        want = (bytes, bytes(w)) if listed else ("refused", f"not a permutation of 1..{len(w)}: {w!r}")
+        assert _permutation_check_outcome(bytes(w)) == want, w
+        assert _permutation_check_outcome(w) == want, w
+        outcomes["accepted" if listed else "refused"] += 1
     assert outcomes["accepted"] > 100 and outcomes["refused"] > 1000, outcomes
 
 
