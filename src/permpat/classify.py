@@ -4,12 +4,15 @@ Given a group of degree n, the classifier decides its structural class and
 produces the next level(s) of the compatibility sequence without brute force:
 exactly where a closed form exists, and as a (lower, upper) sandwich
 otherwise.  It also names the eventual family the sequence settles into and a
-bound on how many levels that takes.  Each class is stated once, in one branch
-of ``Classification``: its kind, level rule, citation, family and bound.  Every
-settled level is the family's member at its degree: a class's own rule covers
-only the levels before it settles.  Above S_n every level is S_m, and
-that one family member is named, not built: its prediction carries no
-group, and the verifier checks the oracle level by its order m!.
+bound on how many levels that takes.  The family depends on G alone and is
+read off it before the class dispatch, in the paper's three cases: S_n gives
+S_m, a group holding the natural cycle the cyclic family, and any other group
+S_ab, each with the reversal exactly when G holds it.  Each class is stated
+once, in one branch of ``Classification``: its kind, level rule, citation and
+bound.  Every settled level is the family's member at its degree: a class's
+own rule covers only the levels before it settles.  Above S_n every level is
+S_m, and that one family member is named, not built: its prediction carries
+no group, and the verifier checks the oracle level by its order m!.
 Everything here is verified against the brute-force engine by the verifier
 module.
 """
@@ -322,12 +325,20 @@ class Classification:
         self.group = g
         self.element_cap = element_cap
         has_desc = descending(n).word in g.word_set
+        # The family depends on G alone (Atkinson & Beals), so it is read off
+        # G once, before the class dispatch, by the three cases of the paper.
+        if g.order == math.factorial(n):
+            family = EventualFamily("symmetric")
+        elif natural_cycle(n).word in g.word_set:
+            family = EventualFamily("cyclic", has_desc)
+        else:
+            family = EventualFamily("sab", has_desc, *g.largest_ab())
         # The first matching class in priority order wins.  Each branch states
         # the kind, its level rule (None: every level is the family member),
-        # the citation of the levels the family gives, the family and the bound.
-        if g.order == math.factorial(n):
+        # the citation of the levels the family gives and the bound.
+        if family.kind == "symmetric":
             kind, rule = ClassKind.SYMMETRIC, _value_symmetric
-            cite, family, bound = "comp-symmetric-step", EventualFamily("symmetric"), 0
+            cite, bound = "comp-symmetric-step", 0
         elif g.order == math.factorial(n) // 2 and all(_is_even_word(w) for w in g.generator_words):
             # the second level collapses to the reversal group, the natural
             # dihedral group, the trivial group or the natural cyclic group as
@@ -335,30 +346,23 @@ class Classification:
             # is 0 or 1, and the natural cycle exactly when n is odd
             kind, rule = ClassKind.ALTERNATING, _value_alternating
             cite, bound = "comp-alternating-collapse", 2
-            cyclic = EventualFamily("cyclic", has_desc)
-            family = cyclic if n % 2 else EventualFamily("sab", has_desc, 1, 1)
         elif g.order == 1:
-            kind, rule = ClassKind.TRIVIAL, None
-            cite, family, bound = "comp-trivial-step", EventualFamily("sab", False, 1, 1), 0
+            kind, rule, cite, bound = ClassKind.TRIVIAL, None, "comp-trivial-step", 0
         elif g.order == 2 and has_desc:
-            kind, rule = ClassKind.DESC_ONLY, None
-            cite, family, bound = "comp-reversal-step", EventualFamily("sab", True, 1, 1), 0
-        elif natural_cycle(n).word in g.word_set:
+            kind, rule, cite, bound = ClassKind.DESC_ONLY, None, "comp-reversal-step", 0
+        elif family.kind == "cyclic":
             kind, rule = ClassKind.CONTAINS_NATURAL_CYCLE, None
             cite = f"comp-natural-cycle-{'dihedral' if has_desc else 'cyclic'}"
-            family = EventualFamily("cyclic", has_desc)
             bound = 0 if family.matches(g) else 1
         elif not g.is_transitive():
-            cite, family = None, EventualFamily("sab", has_desc, *g.largest_ab())
             kind, rule = ClassKind.INTRANSITIVE, partial(_value_intransitive, family)
-            bound = parts.mu_ab(g.orbits(), family.a, family.b)
+            cite, bound = None, parts.mu_ab(g.orbits(), family.a, family.b)
         elif systems := g.block_systems():
-            cite, family = None, EventualFamily("sab", has_desc, *g.largest_ab())
             kind, rule = ClassKind.IMPRIMITIVE, partial(_value_imprimitive, family, systems)
+            cite = None
             bound = min(max(parts.mu_ab(pi, family.a, family.b), 2) for pi in systems)
         else:
-            kind, rule = ClassKind.PRIMITIVE, _value_primitive
-            cite, family = "comp-primitive-reversal-cap", EventualFamily("sab", has_desc, 1, 1)
+            kind, rule, cite = ClassKind.PRIMITIVE, _value_primitive, "comp-primitive-reversal-cap"
             # settles by level 2 at the latest, by level 1 without a table hit
             bound = 1 if _primitive_row(g) is None else 2
         self.kind, self.eventual, self.onset_bound = kind, family, bound

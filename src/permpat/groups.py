@@ -140,6 +140,14 @@ def _check_word(w: object, degree: int) -> None:
         raise ValueError(f"member degree {len(w)} != {degree}")
 
 
+def _check_words(words: Iterable[object], degree: int) -> None:
+    """``_check_word`` on every member, in the order of their reprs: of two
+    bad members the same one is named whatever the set's iteration order,
+    which for ``bytes`` follows the hash seed.  Called on refused input only."""
+    for w in sorted(words, key=repr):
+        _check_word(w, degree)
+
+
 def _sorted_walk(words: Collection[Word], degree: int) -> Iterator[Word]:
     """Yield ``sorted(words)`` lazily, holding no list of all the words.
 
@@ -151,7 +159,7 @@ def _sorted_walk(words: Collection[Word], degree: int) -> Iterator[Word]:
     those past ``top`` heaped and popped.  A group's greedy generators
     mostly lie in that head: on S_9, the 40320 words fixing 1, then 213456789.
     The first pass compares every word with a ``bytes`` bound, so of two or
-    more words one that is not ``bytes`` is refused, by ``_check_word``,
+    more words one that is not ``bytes`` is refused, by ``_check_words``,
     before anything is yielded.
     """
     if len(words) > 1:
@@ -166,8 +174,7 @@ def _sorted_walk(words: Collection[Word], degree: int) -> Iterator[Word]:
                     elif top is None or w < top:
                         top = w
             except TypeError:  # a word that is not bytes meets the bound
-                for w in words:
-                    _check_word(w, degree)
+                _check_words(words, degree)
                 raise
             if top is not None:
                 low.sort()
@@ -192,7 +199,8 @@ class PermSet:
     The set has no stored order: iteration sorts on the way out, so callers
     that print or choose deterministically see sorted words.  A frozenset
     passed in is kept as it is, not copied (``frozenset(fs) is fs``).  A
-    member that is not ``bytes``, or of another degree, is refused.  Like a
+    member that is not ``bytes``, or of another degree, is refused; of two
+    such members, the one with the lesser repr is named.  Like a
     ``Perm``, a set is immutable, so a memo may hand one to every caller.
     """
 
@@ -206,8 +214,7 @@ class PermSet:
         except TypeError:  # a member that is not bytes
             same_degree = False
         if not same_degree:
-            for w in word_set:
-                _check_word(w, degree)
+            _check_words(word_set, degree)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "word_set", word_set)
 

@@ -322,6 +322,48 @@ def test_classifier_tightness_on_catalogs_4_and_5():
     assert pred.lower == pp.comp_set(g, 7)
 
 
+def test_citation_census_on_catalogs_4_to_6(degree6_catalog):
+    # predictions per (citation, mode) over the first two levels of every
+    # group of degrees 4 and 5 and the first level of every group of degree
+    # 6; a named S_m is "named".  Closing a sandwich moves counts from
+    # "sandwich" to "exact"; re-pin them when it does.  No group here has an
+    # interval-dihedral row (PGL(2,7) in test_cli.py does), so
+    # comp-primitive-interval-dihedral counts 0.
+    census = Counter()
+    for groups, depth in (
+        (pp.enumerate_subgroups(4), 2),
+        (pp.enumerate_subgroups(5), 2),
+        (degree6_catalog, 1),
+    ):
+        for g in groups:
+            c = Classification(g)
+            for i in range(1, depth + 1):
+                pred = c.level(i)
+                if pred.exact is not None:
+                    mode = "exact"
+                else:
+                    mode = "named" if pred.lower is None else "sandwich"
+                census.update((cite, mode) for cite in pred.citations)
+    assert census == {
+        ("comp-orbit-sandwich", "sandwich"): 1149,
+        ("comp-young-derivative", "exact"): 327,
+        ("comp-imprimitive-sandwich", "sandwich"): 241,
+        ("comp-primitive-reversal-cap", "exact"): 36,
+        ("comp-block-automorphism-step", "exact"): 25,
+        ("comp-natural-cycle-dihedral", "exact"): 11,
+        ("comp-natural-cycle-cyclic", "exact"): 7,
+        ("comp-trivial-step", "exact"): 5,
+        ("comp-reversal-step", "exact"): 5,
+        ("comp-symmetric-step", "named"): 5,
+        ("comp-primitive-degree6-table", "exact"): 5,
+        ("comp-young-reversal-derivative", "exact"): 4,
+        ("comp-alternating-parity-sieve", "exact"): 3,
+        ("comp-block-automorphism-tail", "exact"): 2,
+        ("comp-alternating-collapse", "exact"): 2,
+    }
+    assert census.total() == 1827
+
+
 def _classification_digest(groups, depth):
     """Per-kind counts, and the sha256 of every group's kind, eventual family,
     onset bound and the citations of its first ``depth`` levels."""

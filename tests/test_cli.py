@@ -633,6 +633,31 @@ def test_degree_past_the_limit_is_a_parse_error(capsys, descriptor):
     assert "bad group descriptor" in err and "degree must be in 1..16" in err
 
 
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (
+            ("--element-cap", "1000", "levels", "--group", "A:9", "--depth", "1"),
+            3,
+            "|A_9| exceeds the cap 1000",
+        ),
+        (
+            ("classify", "--group", "Dint:5:4:2"),
+            2,
+            "bad group descriptor 'Dint:5:4:2': need 1 <= a < b <= n, got a=4, b=2, n=5",
+        ),
+        (
+            ("--element-cap", "100", "classify", "--group", "AutPi:1,2|3,4|5,6|7,8"),
+            3,
+            "automorphism group order 384 exceeds the cap 100",
+        ),
+    ],
+    ids=["alternating-cap", "dint-interval", "automorphism-cap"],
+)
+def test_named_group_refusals_exit_with_their_code(capsys, argv, code, message):
+    assert run_cli(capsys, *argv) == (code, "", f"error: {message}\n")
+
+
 def test_module_entry_point():
     proc = run_python(
         "-m", "permpat.cli", "--format", "json", "pat", "--group", "D:5", "--level", "4"

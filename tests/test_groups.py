@@ -1,10 +1,13 @@
 import hashlib
 import itertools
 import math
+import os
 import random
 import re
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -144,13 +147,71 @@ def test_closure_refuses_a_word_that_is_no_permutation(generators, word, monkeyp
 
 
 @pytest.mark.parametrize(
-    "words", [[b"\1\2\3", b"\1\2"], [b"\1\2", b"\2\1\3\4", b"\3\1\2", b"\1"]]
+    "words, message",
+    [
+        pytest.param([b"\1\2\3", b"\1\2"], "member degree 2 != 3", id="words0"),
+        pytest.param(
+            [b"\1\2", b"\2\1\3\4", b"\3\1\2", b"\1"], "member degree 1 != 3", id="words1"
+        ),
+    ],
 )
-def test_permset_refuses_a_member_of_another_degree(words):
-    # the first member of the wrong degree in the set's own iteration order
-    bad = next(len(w) for w in frozenset(words) if len(w) != 3)
-    with pytest.raises(ValueError, match=f"^member degree {bad} != 3$"):
+def test_permset_refuses_a_member_of_another_degree(words, message):
+    # of several members of other degrees, the one with the least repr
+    with pytest.raises(ValueError, match=f"^{message}$"):
         PermSet(3, words)
+
+
+#: Inputs with two bad members, as (builder, words), each with the member
+#: it is refused for: the one with the least repr, whatever the frozenset's
+#: order, which for ``bytes`` members follows the hash seed.
+_TWO_BAD_MEMBERS = [
+    (("PermSet", [b"\1\2", (2, 1, 3), b"\1\2\3\4"]), "member (2, 1, 3) is not a bytes word"),
+    (("PermSet", [b"\1\2\3\4", b"\2\1\3", b"\1\2"]), "member degree 2 != 3"),
+    (
+        ("from_words", [b"\1\2", (2, 1, 3), b"\1\2\3", b"\2\1\3"]),
+        "member (2, 1, 3) is not a bytes word",
+    ),
+]
+
+_REFUSE_EACH = """
+import ast, sys
+from permpat.groups import PermGroup, PermSet
+build = {"PermSet": lambda w: PermSet(3, w), "from_words": lambda w: PermGroup.from_words(w, 3)}
+for name, words in ast.literal_eval(sys.argv[1]):
+    try:
+        build[name](words)
+    except ValueError as e:
+        print(e)
+"""
+
+
+def test_a_set_with_two_bad_members_is_refused_alike_at_every_hash_seed():
+    cases = repr([case for case, _ in _TWO_BAD_MEMBERS])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for seed in ("0", "1", "2", "3"):
+        run = subprocess.run(
+            [sys.executable, "-c", _REFUSE_EACH, cases],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines() == [message for _, message in _TWO_BAD_MEMBERS], seed
+
+
+@pytest.mark.parametrize(
+    "refused, message",
+    [
+        (lambda: pp.trivial_group(3).is_subgroup_of(pp.trivial_group(4)), "degree mismatch: 3 vs 4"),
+        (lambda: pp.mu_ab(pp.parse_partition("1,2|3"), 0, 1), "a and b must be >= 1"),
+        (lambda: pp.mu_ab(pp.parse_partition("1,2|3"), 1, 0), "a and b must be >= 1"),
+        (lambda: pp.Classification(pp.trivial_group(3)).level(0), "level must be >= 1"),
+    ],
+    ids=["is_subgroup_of", "mu_ab-a", "mu_ab-b", "level"],
+)
+def test_argument_refusals_are_worded(refused, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        refused()
 
 
 @pytest.mark.parametrize(

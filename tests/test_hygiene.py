@@ -14,9 +14,10 @@ function returns an immutable value (the package's own such classes refuse
 attribute assignment), while S_n, A_n and the Young and
 block-automorphism groups are not cached.  The level-degree
 refusal, the degree range, the depth refusal and the member refusals are
-each worded once, every law suite in ``verify`` has a docstring, a product
-of words is built in one place, and ``Word`` is defined once, with no word
-converted between tuples and bytes.
+each worded once, the classifier builds each eventual family in one place,
+every law suite in ``verify`` has a docstring, a product of words is built
+in one place, and ``Word`` is defined once, with no word converted between
+tuples and bytes.
 """
 import ast
 import inspect
@@ -257,6 +258,19 @@ def test_one_degree_refusal(wording):
     # refusals (groups._check_word) are each written once
     found = [p.name for p in SRC.glob("*.py") for _ in range(p.read_text().count(wording))]
     assert found == [_REFUSALS[wording]], f"{wording!r} written in {found}"
+
+
+def test_classify_states_each_eventual_family_once():
+    # the family is read off G before the class dispatch, one construction
+    # per kind; verify._family_candidates builds its own, as the other side
+    built = [
+        node.args[0].value
+        for node in ast.walk(ast.parse((SRC / "classify.py").read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "EventualFamily"
+    ]
+    assert sorted(built) == ["cyclic", "sab", "symmetric"], built
 
 
 def _module_names(tree: ast.Module) -> set[str]:

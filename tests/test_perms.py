@@ -100,6 +100,24 @@ def test_parse_refuses_a_non_permutation_by_the_perm_check():
         P("2,3,5")
 
 
+@pytest.mark.parametrize(
+    "refused, message",
+    [
+        (lambda: P("2a1"), "malformed one-line word: '2a1'"),
+        (lambda: P("231", 4), "word has degree 3, expected 4"),
+        (lambda: P("2,x,1"), "malformed token: 'x'"),
+        (lambda: P("(1 x)", 3), "malformed token: 'x'"),
+        (lambda: P("(1 2) 3", 3), "malformed cycle notation: '(1 2) 3'"),
+        (lambda: pp.format_perm(P("21"), "latex"), "unknown notation: 'latex'"),
+        (lambda: pp.delete_point(P("1"), 1), "cannot delete from a degree-1 permutation"),
+    ],
+    ids=["one-line", "degree", "token", "cycle-token", "cycle", "notation", "delete-degree-1"],
+)
+def test_text_and_deletion_refusals_are_worded(refused, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        refused()
+
+
 def test_parse_cycles():
     assert P("(1 2 3 4)", 6) == P("234156")
     assert P("(1 2 3)(4 5)", 5) == P("231,54".replace(",", ""))
