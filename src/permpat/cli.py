@@ -50,9 +50,10 @@ def _build_parser() -> argparse.ArgumentParser:
     classify.add_argument("--depth", type=int, default=1)
 
     verify = sub.add_parser("verify", help="reconcile predictions with brute force")
-    verify.add_argument("--catalog", type=int, default=None)
-    verify.add_argument("--group", default=None)
-    verify.add_argument("--laws", action="store_true")
+    mode = verify.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--catalog", type=int)
+    mode.add_argument("--group")
+    mode.add_argument("--laws", action="store_true")
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--depth", type=int, default=2)
 
@@ -63,18 +64,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_source_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--group", default=None, help="group descriptor, e.g. C:6 or gens:6:...")
-    p.add_argument("--perm", default=None, help="a single one-line word")
-    p.add_argument("--set", dest="permset", default=None, help="semicolon-separated words")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--group", help="group descriptor, e.g. C:6 or gens:6:...")
+    source.add_argument("--perm", help="a single one-line word")
+    source.add_argument("--set", dest="permset", help="semicolon-separated words")
 
 
 def _load_source(args: argparse.Namespace) -> PermSet:
-    given = [x for x in (args.group, args.perm, args.permset) if x]
-    if len(given) != 1:
-        raise ValueError("exactly one of --group, --perm, --set is required")
-    if args.group:
+    if args.group is not None:
         return parse_group(args.group, args.element_cap)
-    texts = [args.perm] if args.perm else [t for t in args.permset.split(";") if t.strip()]
+    if args.perm is not None:
+        texts = [args.perm]
+    else:
+        texts = [t for t in args.permset.split(";") if t.strip()]
     perms = [parse_perm(t) for t in texts]
     if not perms:
         raise ValueError("cannot infer degree from an empty collection")
@@ -208,9 +210,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    chosen = [x for x in (args.catalog is not None, args.group is not None, args.laws) if x]
-    if len(chosen) != 1:
-        raise ValueError("choose exactly one of --catalog N, --group DESC, --laws")
     if args.laws:
         reports = verify_laws(args.seed)
     elif args.catalog is not None:
@@ -282,6 +281,8 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.element_cap < 1:  # no group has fewer than one element
+        parser.error(f"--element-cap must be >= 1, got {args.element_cap}")
     try:
         return _COMMANDS[args.command](args)
     except CapExceeded as exc:

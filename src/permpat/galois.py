@@ -40,13 +40,14 @@ from operator import and_
 from typing import AbstractSet, Iterator
 
 from .groups import DEFAULT_ELEMENT_CAP, PermSet
-from .perms import CapExceeded, Word, _check_level_degree, _deletion_tables, _pattern_words
+from .perms import (
+    Word, _cap_exceeded, _check_in_range, _check_level_degree, _deletion_tables, _pattern_words
+)
 
 
 def pat_set(t: PermSet, length: int) -> PermSet:
     """Union of all length-``length`` patterns of the members of ``t``."""
-    if not 1 <= length <= t.degree:
-        raise ValueError(f"pattern length {length} out of range 1..{t.degree}")
+    _check_in_range("pattern length", length, t.degree)
     return PermSet(length, _pattern_words(t.word_set, length))
 
 
@@ -65,7 +66,8 @@ def _lift_tables(k: int) -> tuple[bytes, ...]:
 def _comp_step(
     words: AbstractSet[Word], k: int, element_cap: int = DEFAULT_ELEMENT_CAP
 ) -> frozenset[Word]:
-    """One level up: all (k+1)-words whose single-point deletions all lie in ``words``.
+    """One level up: all (k+1)-words whose single-point deletions all lie in
+    ``words``, k-words with k >= 1, as ``iter_levels`` asks.
 
     ``ext[u]`` has bit v set iff ``lift(u, v) + (v,)`` is in ``words``, with
     u a (k-1)-word.  Deleting the value c from the candidates above w looks
@@ -83,8 +85,6 @@ def _comp_step(
     """
     if not words:
         return frozenset()
-    if not k:  # the empty word's one lift
-        return frozenset({b"\1"})
     tables, gones = _deletion_tables(k, k - 1)
     live = list(words)
     ext: dict[bytes, int] = {}
@@ -106,10 +106,7 @@ def _comp_step(
     del ext, ext_c, keys  # not held at the survivor build's peak
     size = sum(map(int.bit_count, masks))
     if size > element_cap:
-        raise CapExceeded(
-            f"level degree {k + 1} exceeded the element cap of {element_cap} "
-            f"({size} words)"
-        )
+        raise _cap_exceeded(f"level of degree {k + 1}", size, element_cap)
     lifts = _lift_tables(k)
     rows = {m: tuple(t for v, t in enumerate(lifts, 1) if m >> v & 1) for m in set(masks)}
     top = bytes((k + 1,))

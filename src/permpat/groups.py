@@ -37,8 +37,10 @@ from .perms import (
     CapExceeded,
     Perm,
     Word,
+    _cap_exceeded,
     _check_degree,
     _check_permutation,
+    _check_same_degree,
     _inverse_word,
     _is_even_word,
     _times,
@@ -76,10 +78,7 @@ def _extend(elems: set[Word], gens: list[Word], g: Word, element_cap: int) -> No
         reps.append(r)
         elems.update(map(bytes.translate, base, itertools.repeat(times)))
         if len(elems) > element_cap:
-            raise CapExceeded(
-                f"closure exceeded the element cap of {element_cap} "
-                f"(degree {len(r)}, {len(elems)} elements reached)"
-            )
+            raise _cap_exceeded(f"closure of degree {len(r)}", len(elems), element_cap)
 
     add_coset(g, tables[-1])
     for r in reps:  # grows while it is scanned
@@ -344,8 +343,7 @@ class PermGroup(PermSet):
         return f"<PermGroup degree={self.degree} order={self.order}>"
 
     def is_subgroup_of(self, other: "PermGroup") -> bool:
-        if self.degree != other.degree:
-            raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
+        _check_same_degree(self.degree, other.degree)
         return self.word_set <= other.word_set
 
     # -- structure -----------------------------------------------------------
@@ -411,7 +409,7 @@ def trivial_group(n: int) -> PermGroup:
 def _check_symmetric_order(n: int, element_cap: int) -> None:
     """Refuse S_n when its order n! passes the element cap."""
     if math.factorial(n) > element_cap:
-        raise CapExceeded(f"|S_{n}| = {math.factorial(n)} exceeds the cap {element_cap}")
+        raise _cap_exceeded(f"S_{n}", math.factorial(n), element_cap)
 
 
 def symmetric_group(n: int, element_cap: int = DEFAULT_ELEMENT_CAP) -> PermGroup:
@@ -431,7 +429,7 @@ def symmetric_group(n: int, element_cap: int = DEFAULT_ELEMENT_CAP) -> PermGroup
 def alternating_group(n: int, element_cap: int = DEFAULT_ELEMENT_CAP) -> PermGroup:
     _check_degree(n)
     if n >= 2 and math.factorial(n) // 2 > element_cap:
-        raise CapExceeded(f"|A_{n}| exceeds the cap {element_cap}")
+        raise _cap_exceeded(f"A_{n}", math.factorial(n) // 2, element_cap)
     if n <= 2:
         gens: tuple[Word, ...] = ()
     else:
@@ -486,7 +484,7 @@ def _young_generators(p: Partition, element_cap: int) -> tuple[Word, ...]:
     _check_degree(p.size)
     order = _young_order(p)
     if order > element_cap:
-        raise CapExceeded(f"Young subgroup order {order} exceeds the cap {element_cap}")
+        raise _cap_exceeded(f"Young subgroup of {p}", order, element_cap)
     return tuple(
         _transposition_word(p.size, b[i], b[i + 1])
         for b in p.blocks
@@ -522,7 +520,7 @@ def partition_automorphisms(p: Partition, element_cap: int = DEFAULT_ELEMENT_CAP
         for s, cls in by_size.items()
     )
     if order > element_cap:
-        raise CapExceeded(f"automorphism group order {order} exceeds the cap {element_cap}")
+        raise _cap_exceeded(f"automorphism group of {p}", order, element_cap)
     n = p.size
     words = []
     size_classes = sorted(by_size.items())
@@ -592,8 +590,6 @@ def parse_group(text: str, element_cap: int = DEFAULT_ELEMENT_CAP) -> PermGroup:
             n = int(deg_text)
             gens = [parse_perm(t, n).word for t in gtext.split(";") if t.strip()]
             return PermGroup.closure(gens, n, element_cap)
-    except CapExceeded:
-        raise
     except ValueError as exc:
         raise ValueError(f"bad group descriptor {text!r}: {exc}") from None
     raise ValueError(f"unknown group descriptor kind: {head!r}")
@@ -715,7 +711,9 @@ def _subgroup_catalog(n: int) -> tuple[tuple[tuple[Word, ...], frozenset[Word]],
                     covered.update(map(gb.translate, tables))
                 push(grow(elems, gens, g), gens + (g,))
     # kept for the process: each element set refers to the words of S_n, so
-    # a word in many subgroups is held once
+    # a word in many subgroups is held once.  The set is no idle copy: a
+    # frozenset built from a set sizes its table from the count, one built
+    # from the map grows it as it goes, twice as large for 24 or 120 words
     word = {w: w for w in full}.__getitem__
     catalog = [(gens, frozenset(set(map(word, elems)))) for elems, gens in seen.items()]
     catalog.sort(key=lambda c: (len(c[1]), sorted(c[1])))

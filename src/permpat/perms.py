@@ -32,6 +32,14 @@ class CapExceeded(RuntimeError):
     """An enumeration or closure grew past its configured cap."""
 
 
+def _cap_exceeded(what: str, size: int, element_cap: int) -> CapExceeded:
+    """The one element-cap refusal, for ``raise``: ``what`` holds ``size``
+    words, more than ``element_cap``.  Each caller tests the size inline
+    and calls this only to raise, so a path that refuses nothing, such as
+    a closure's coset loop, makes no call."""
+    return CapExceeded(f"{what}: {size} words exceed the element cap {element_cap}")
+
+
 class Perm:
     """An immutable permutation of {1..n} in one-line form."""
 
@@ -226,6 +234,16 @@ def _check_level_degree(m: int) -> None:
         raise CapExceeded(f"level degree {MAX_DEGREE + 1} exceeds the cap {MAX_DEGREE}")
 
 
+def _check_in_range(what: str, x: int, top: int) -> None:
+    if not 1 <= x <= top:
+        raise ValueError(f"{what} {x} out of range 1..{top}")
+
+
+def _check_same_degree(m: int, n: int) -> None:
+    if m != n:
+        raise ValueError(f"degree mismatch: {m} vs {n}")
+
+
 def _check_block(n: int, length: int) -> None:
     _check_degree(n)
     if not 1 <= length <= n:
@@ -237,8 +255,7 @@ def _check_block(n: int, length: int) -> None:
 
 def compose(f: Perm, g: Perm) -> Perm:
     """Right-to-left composition: the permutation x -> f(g(x))."""
-    if f.degree != g.degree:
-        raise ValueError(f"degree mismatch: {f.degree} vs {g.degree}")
+    _check_same_degree(f.degree, g.degree)
     return Perm(_compose_words(f.word, g.word))
 
 
@@ -352,16 +369,13 @@ def delete_point(p: Perm, i: int) -> Perm:
     """The (n-1)-pattern obtained by deleting position ``i``."""
     if p.degree < 2:
         raise ValueError("cannot delete from a degree-1 permutation")
-    if not 1 <= i <= p.degree:
-        raise ValueError(f"position {i} out of range 1..{p.degree}")
+    _check_in_range("position", i, p.degree)
     return Perm(_delete_word(p.word, i - 1))
 
 
 def all_patterns(p: Perm, length: int) -> tuple[Perm, ...]:
     """All distinct patterns of the given length, canonically sorted."""
-    n = p.degree
-    if not 1 <= length <= n:
-        raise ValueError(f"pattern length {length} out of range 1..{n}")
+    _check_in_range("pattern length", length, p.degree)
     return tuple(Perm(w) for w in sorted(_pattern_words((p.word,), length)))
 
 
@@ -405,8 +419,7 @@ def adjacent_pattern_quotient(p: Perm, i: int) -> Perm:
     For any permutation this quotient is a single cycle on a value interval
     bounded by p(i) and p(i+1); tests assert that shape exhaustively.
     """
-    if not 1 <= i <= p.degree - 1:
-        raise ValueError(f"position {i} out of range 1..{p.degree - 1}")
+    _check_in_range("position", i, p.degree - 1)
     left = _delete_word(p.word, i)      # delete position i+1 (0-based i)
     right = _delete_word(p.word, i - 1)  # delete position i
     return Perm(_compose_words(left, _inverse_word(right)))

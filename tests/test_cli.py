@@ -17,7 +17,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # a usage error argparse refuses itself
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -96,8 +99,8 @@ def test_comp_level_size_cap(capsys):
     )
     assert code == 3
     assert out == ""
-    assert "degree 7" in err and "1000" in err
-    assert "(5040 words)" in err  # the full level size, counted before it is built
+    # the full level size, counted before it is built
+    assert err == "error: level of degree 7: 5040 words exceed the element cap 1000\n"
 
 
 @pytest.mark.parametrize(
@@ -126,14 +129,14 @@ def test_verify_level_size_cap(capsys):
     prediction = reports["prediction"]
     assert prediction["status"] == "skipped"
     reason = prediction["counterexample"]["reason"]
-    assert "degree 7" in reason and "element cap of 1000" in reason
+    assert reason == "level of degree 7: 5040 words exceed the element cap 1000"
     assert "skipped" in err
 
 
 def test_verify_catalog_refuses_a_catalog_over_the_cap(capsys):
     code, out, err = run_cli(capsys, "--element-cap", "100", "verify", "--catalog", "5")
     assert code == 3 and out == ""
-    assert "|S_5| = 120" in err
+    assert err == "error: S_5: 120 words exceed the element cap 100\n"
 
 
 @pytest.mark.parametrize("n", ["0", "10"])
@@ -577,7 +580,61 @@ def test_pat_and_comp_from_a_set(capsys):
 def test_source_and_mode_errors_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
-    assert err.startswith("error: ")
+    # the library's refusal is one "error:" line; argparse's follows its usage
+    assert err.startswith(("error: ", "usage: permpat ")) and "error: " in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["pat", "--level", "2"], "pat: error: one of the arguments --group --perm --set is required"),
+        (["comp", "--to", "4"], "comp: error: one of the arguments --group --perm --set is required"),
+        (
+            ["pat", "--perm", "12", "--set", "12", "--level", "1"],
+            "pat: error: argument --set: not allowed with argument --perm",
+        ),
+        (
+            ["comp", "--group", "S:3", "--perm", "123", "--to", "4"],
+            "comp: error: argument --perm: not allowed with argument --group",
+        ),
+        (["verify"], "verify: error: one of the arguments --catalog --group --laws is required"),
+        (
+            ["verify", "--laws", "--catalog", "3"],
+            "verify: error: argument --catalog: not allowed with argument --laws",
+        ),
+        (
+            ["verify", "--catalog", "3", "--group", "S:3"],
+            "verify: error: argument --group: not allowed with argument --catalog",
+        ),
+    ],
+)
+def test_exactly_one_source_and_one_mode(capsys, argv, message):
+    # argparse refuses none and two of --group/--perm/--set, and of
+    # --catalog/--group/--laws, before any command runs
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: permpat ") and err.endswith(f"\npermpat {message}\n")
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["pat", "--group", "T:3", "--level", "2"],
+        ["comp", "--group", "T:3", "--to", "4"],
+        ["classify", "--group", "T:3"],
+        ["levels", "--group", "T:3", "--depth", "1"],
+        ["verify", "--group", "S:1"],
+        ["verify", "--catalog", "1"],
+        ["verify", "--laws"],
+    ],
+)
+def test_element_cap_below_one_is_a_usage_error(capsys, command, cap):
+    # no group has fewer than one element, so such a cap would refuse every
+    # group: refused before the command runs, whatever it would build
+    code, out, err = run_cli(capsys, "--element-cap", cap, *command)
+    assert code == 2 and out == ""
+    assert err.endswith(f"\npermpat: error: --element-cap must be >= 1, got {cap}\n")
 
 
 def test_parse_error_exit_code(capsys):
@@ -639,7 +696,7 @@ def test_degree_past_the_limit_is_a_parse_error(capsys, descriptor):
         (
             ("--element-cap", "1000", "levels", "--group", "A:9", "--depth", "1"),
             3,
-            "|A_9| exceeds the cap 1000",
+            "A_9: 181440 words exceed the element cap 1000",
         ),
         (
             ("classify", "--group", "Dint:5:4:2"),
@@ -649,7 +706,7 @@ def test_degree_past_the_limit_is_a_parse_error(capsys, descriptor):
         (
             ("--element-cap", "100", "classify", "--group", "AutPi:1,2|3,4|5,6|7,8"),
             3,
-            "automorphism group order 384 exceeds the cap 100",
+            "automorphism group of 1,2|3,4|5,6|7,8: 384 words exceed the element cap 100",
         ),
     ],
     ids=["alternating-cap", "dint-interval", "automorphism-cap"],
@@ -701,7 +758,9 @@ def test_classify_intransitive_under_a_small_cap(capsys):
         capsys, "--element-cap", "200", "classify", "--group", "gens:7:(1 2 3 4 5 6)"
     )
     assert code == 3 and out == ""
-    assert "Young subgroup order 720" in err
+    assert err == (
+        "error: Young subgroup of 1,2,3,4,5,6|7|8: 720 words exceed the element cap 200\n"
+    )
 
 
 def test_verify_honours_the_element_cap_for_predicted_levels(capsys):
@@ -715,7 +774,7 @@ def test_verify_honours_the_element_cap_for_predicted_levels(capsys):
     reports = {r["check_id"]: r for r in map(json.loads, out.splitlines())}
     assert reports["prediction"]["status"] == "skipped"
     assert reports["prediction"]["counterexample"]["reason"] == (
-        "Young subgroup order 720 exceeds the cap 200"
+        "Young subgroup of 1,2,3,4,5,6|7|8: 720 words exceed the element cap 200"
     )
     assert "skipped" in err
 

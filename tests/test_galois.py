@@ -174,7 +174,6 @@ def test_comp_step_matches_reference_one_and_two_steps_up(case):
 
 def test_comp_step_edge_sets():
     assert _comp_step(set(), 3) == set()
-    assert _comp_step({b""}, 0) == {b"\1"} == _comp_step_reference({b""}, 0)
     assert _comp_step({b"\1"}, 1) == {b"\1\2", b"\2\1"}
     assert _comp_step({b"\1\2"}, 2) == {b"\1\2\3"}
     assert _comp_step({b"\2\1"}, 2) == {b"\3\2\1"}
@@ -248,7 +247,7 @@ def test_comp_step_checks_the_cap_before_building_a_word(monkeypatch):
         m.setattr(galois, "_lift_tables", no_building)
         with pytest.raises(
             pp.CapExceeded,
-            match=r"level degree 7 exceeded the element cap of 5039 \(5040 words\)",
+            match=r"^level of degree 7: 5040 words exceed the element cap 5039$",
         ):
             _comp_step(s6, 6, element_cap=5039)
     assert len(_comp_step(s6, 6, element_cap=5040)) == 5040
@@ -256,6 +255,39 @@ def test_comp_step_checks_the_cap_before_building_a_word(monkeypatch):
 
 def test_comp_step_cap_names_the_level_being_built():
     s5 = set(pp.symmetric_group(5).word_set)
-    with pytest.raises(pp.CapExceeded, match="level degree 6 exceeded the element cap of 100"):
+    with pytest.raises(pp.CapExceeded, match=r"^level of degree 6: 720 words exceed the element cap 100$"):
         _comp_step(s5, 5, element_cap=100)
     assert len(_comp_step(s5, 5, element_cap=720)) == 720
+
+
+@pytest.mark.parametrize(
+    "build, refused",
+    [
+        (lambda cap: pp.symmetric_group(5, cap), "S_5: 120 words"),
+        (lambda cap: pp.alternating_group(6, cap), "A_6: 360 words"),
+        (
+            lambda cap: pp.young_subgroup(pp.parse_partition("1,2,3,4,5|6"), cap),
+            "Young subgroup of 1,2,3,4,5|6: 120 words",
+        ),
+        (
+            lambda cap: pp.partition_automorphisms(pp.parse_partition("1,2|3,4|5,6|7,8"), cap),
+            "automorphism group of 1,2|3,4|5,6|7,8: 384 words",
+        ),
+        # the fifth of the coset closure's cosets of <(1 2 3 4 5)> passes the cap
+        (
+            lambda cap: PermGroup.closure([b"\2\3\4\5\1", b"\2\1\3\4\5"], 5, cap),
+            "closure of degree 5: 105 words",
+        ),
+        (
+            lambda cap: _comp_step(pp.symmetric_group(4).word_set, 4, cap),
+            "level of degree 5: 120 words",
+        ),
+    ],
+    ids=["symmetric", "alternating", "young", "automorphisms", "closure", "level-step"],
+)
+def test_every_element_cap_refusal_has_one_wording(build, refused):
+    # S_n, A_n, the Young and automorphism groups are refused by their order
+    # before anything is built, a closure and a level as they outgrow the cap
+    with pytest.raises(pp.CapExceeded) as exc:
+        build(100)
+    assert str(exc.value) == f"{refused} exceed the element cap 100"

@@ -425,7 +425,9 @@ def test_young_with_reversal_matches_closing_the_young_subgroup():
             assert new.word_set == old.word_set, blocks
             count += 1
     assert count == 1 + 2 + 5 + 15 + 52 + 203  # Bell numbers
-    with pytest.raises(pp.CapExceeded, match="Young subgroup order 120 exceeds the cap 100"):
+    with pytest.raises(
+        pp.CapExceeded, match=r"^Young subgroup of 1,2,3,4,5\|6: 120 words exceed the element cap 100$"
+    ):
         pp.young_with_reversal(pp.parse_partition("1,2,3,4,5|6"), 100)
 
 

@@ -13,13 +13,15 @@ assigns through a subscript of a module-level name, and every cached
 function returns an immutable value (the package's own such classes refuse
 attribute assignment), while S_n, A_n and the Young and
 block-automorphism groups are not cached.  The level-degree
-refusal, the degree range, the depth refusal and the member refusals are
-each worded once, the classifier builds each eventual family in one place,
+refusal, the element-cap refusal, the degree range, the depth refusal and
+the member refusals are each worded once, every exception message is
+written at one site, the classifier builds each eventual family in one place,
 every law suite in ``verify`` has a docstring, a product of words is built
 in one place, and ``Word`` is defined once, with no word converted between
 tuples and bytes.
 """
 import ast
+import builtins
 import inspect
 import re
 from pathlib import Path
@@ -244,7 +246,7 @@ _REFUSALS = {
     "level degree {MAX_DEGREE + 1} exceeds the cap {MAX_DEGREE}": "perms.py",
     "1..{MAX_DEGREE}, got": "perms.py",
     '"depth must be >= 1"': "perms.py",
-    "|S_{n}| = {math.factorial(n)} exceeds the cap": "groups.py",
+    "words exceed the element cap": "perms.py",
     "is not a bytes word": "groups.py",
     "member degree": "groups.py",
 }
@@ -254,10 +256,65 @@ _REFUSALS = {
 def test_one_degree_refusal(wording):
     # the level-degree refusal (perms._check_level_degree), the degree range
     # (perms._check_degree), the depth refusal (perms._check_depth), the
-    # S_n cap refusal (groups._check_symmetric_order) and the two member
-    # refusals (groups._check_word) are each written once
+    # element-cap refusal (perms._cap_exceeded) and the two member refusals
+    # (groups._check_word) are each written once
     found = [p.name for p in SRC.glob("*.py") for _ in range(p.read_text().count(wording))]
     assert found == [_REFUSALS[wording]], f"{wording!r} written in {found}"
+
+
+def _calls_to(name: str, tree: ast.AST) -> set[int]:
+    return {
+        n.lineno
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == name
+    }
+
+
+def test_one_element_cap_refusal():
+    # every element-cap refusal (S_n, A_n, Young, automorphism group,
+    # closure, level step) is built by perms._cap_exceeded; the only other
+    # CapExceeded is the level-degree refusal, a cap on degree, not elements
+    found = []
+    for p in SRC.glob("*.py"):
+        tree = ast.parse(p.read_text())
+        owner = {}
+        for name, fn in _functions(tree):  # outermost first: the innermost owner wins
+            owner.update(dict.fromkeys(_calls_to("CapExceeded", fn), f"{p.stem}.{name}"))
+        found += [owner.get(line, f"{p.name}:{line}") for line in _calls_to("CapExceeded", tree)]
+    assert sorted(found) == ["perms._cap_exceeded", "perms._check_level_degree"], found
+
+
+def _is_exception(name: str) -> bool:
+    cls = getattr(builtins, name, getattr(pp, name, None))
+    return isinstance(cls, type) and issubclass(cls, BaseException)
+
+
+def _message_template(node: ast.expr) -> str | None:
+    """A literal message, each interpolation written ``{}``; None if not literal."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in node.values)
+    return None
+
+
+def test_each_message_is_written_at_one_site():
+    # every exception the package builds with a literal message: no two
+    # sites word one refusal, which a shared check then states once
+    sites: dict[str, list[str]] = {}
+    for p in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(p.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and _is_exception(node.func.id)
+                and node.args
+                and (template := _message_template(node.args[0])) is not None
+            ):
+                sites.setdefault(template, []).append(f"{p.name}:{node.lineno}")
+    assert "degree mismatch: {} vs {}" in sites  # the collector sees the refusals
+    twice = {t: s for t, s in sites.items() if len(s) > 1}
+    assert not twice, twice
 
 
 def test_classify_states_each_eventual_family_once():

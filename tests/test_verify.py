@@ -118,7 +118,10 @@ def test_verify_catalog_uses_the_element_cap():
     # the S5 level above S3 passes a cap of 100 words
     reports = pp.verify_catalog(3, depth=3, element_cap=100)
     skipped = [r for r in reports if r.status == "skipped"]
-    assert skipped and all("element cap of 100" in r.counterexample["reason"] for r in skipped)
+    assert skipped and all(
+        r.counterexample["reason"] == "level of degree 5: 120 words exceed the element cap 100"
+        for r in skipped
+    )
     assert any(r.status == "pass" for r in reports)
 
 
