@@ -116,7 +116,7 @@ class Prediction(NamedTuple):
     lower: PermGroup | None
     upper: PermGroup | None
     eventual: EventualFamily
-    citations: tuple[str, ...]
+    citation: str
 
 
 # ---------------------------------------------------------------------------
@@ -248,31 +248,26 @@ def _value_symmetric(g, i, element_cap):
 def _value_alternating(g, i, element_cap):
     if i > 1:
         return None
-    cites = ("comp-alternating-parity-sieve",)
-    return _alternating_next_group(g.degree, element_cap), None, None, cites
+    cite = "comp-alternating-parity-sieve"
+    return _alternating_next_group(g.degree, element_cap), None, None, cite
 
 
 def _value_intransitive(family, g, i, element_cap):
     n = g.degree
     theta = g.orbits()
     if g.order == _young_order(theta):  # G lies in the Young subgroup of its orbits
-        cites = ("comp-young-derivative",)
-        return _young_level(theta, i, family.with_descending, element_cap), None, None, cites
+        cite = "comp-young-derivative"
+        return _young_level(theta, i, family.with_descending, element_cap), None, None, cite
     if family.with_descending:
         pi = _reversal_young_shape(g, element_cap)
         if pi is not None:
-            return (
-                _young_level(pi, i, True, element_cap),
-                None,
-                None,
-                ("comp-young-reversal-derivative",),
-            )
+            return _young_level(pi, i, True, element_cap), None, None, "comp-young-reversal-derivative"
     lower = sab_group(n + i, family.a, family.b, element_cap)
     delta_fixes_orbits = all(
         tuple(sorted(n + 1 - x for x in blk)) == blk for blk in theta.blocks
     )
     upper = _young_level(theta, i, delta_fixes_orbits, element_cap)
-    return None, lower, upper, ("comp-orbit-sandwich",)
+    return None, lower, upper, "comp-orbit-sandwich"
 
 
 def _value_imprimitive(family, systems, g, i, element_cap):
@@ -281,13 +276,13 @@ def _value_imprimitive(family, systems, g, i, element_cap):
             cite = (
                 "comp-block-automorphism-step" if i == 1 else "comp-block-automorphism-tail"
             )
-            return _autpi_level(pi, i, element_cap), None, None, (cite,)
+            return _autpi_level(pi, i, element_cap), None, None, cite
     lower = sab_group(g.degree + i, family.a, family.b, element_cap)
     upper_words = frozenset.intersection(
         *(_autpi_level(pi, i, element_cap).word_set for pi in systems)
     )
     upper = PermGroup.from_words(upper_words, g.degree + i, element_cap)
-    return None, lower, upper, ("comp-imprimitive-sandwich",)
+    return None, lower, upper, "comp-imprimitive-sandwich"
 
 
 def _primitive_row(g: PermGroup) -> tuple[Word, ...] | None:
@@ -313,7 +308,7 @@ def _value_primitive(g, i, element_cap):
         return None
     level = PermGroup.closure(row, g.degree + 1, element_cap)
     cite = "comp-primitive-degree6-table" if g.degree == 6 else "comp-primitive-interval-dihedral"
-    return level, None, None, (cite,)
+    return level, None, None, cite
 
 
 class Classification:
@@ -377,9 +372,9 @@ class Classification:
         _check_level_degree(m)
         found = self._rule(self.group, i, self.element_cap) if self._rule else None
         if found is None:
-            found = self.eventual.group_at(m), None, None, (self._settled_citation,)
-        exact, lower, upper, cites = found
-        return Prediction(m, exact, lower, upper, self.eventual, cites)
+            found = self.eventual.group_at(m), None, None, self._settled_citation
+        exact, lower, upper, cite = found
+        return Prediction(m, exact, lower, upper, self.eventual, cite)
 
 
 # ---------------------------------------------------------------------------

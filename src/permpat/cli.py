@@ -175,9 +175,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     for i in range(1, args.depth + 1):
         pred = c.level(i)
         levels.append(_prediction_payload(pred))
-        for cite in pred.citations:
-            if cite not in citations:
-                citations.append(cite)
+        if pred.citation not in citations:
+            citations.append(pred.citation)
     obj = {
         "command": "classify",
         "group": args.group,

@@ -428,8 +428,9 @@ def symmetric_group(n: int, element_cap: int = DEFAULT_ELEMENT_CAP) -> PermGroup
 
 def alternating_group(n: int, element_cap: int = DEFAULT_ELEMENT_CAP) -> PermGroup:
     _check_degree(n)
-    if n >= 2 and math.factorial(n) // 2 > element_cap:
-        raise _cap_exceeded(f"A_{n}", math.factorial(n) // 2, element_cap)
+    order = math.factorial(n) // 2 or 1  # A_1 = S_1
+    if order > element_cap:
+        raise _cap_exceeded(f"A_{n}", order, element_cap)
     if n <= 2:
         gens: tuple[Word, ...] = ()
     else:

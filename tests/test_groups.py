@@ -313,6 +313,19 @@ def test_closure_cap():
         PermGroup.closure([pp.natural_cycle(9).word], 9, element_cap=5)
 
 
+def test_one_element_groups_refuse_a_cap_of_0_alike():
+    with pytest.raises(pp.CapExceeded, match=r"^A_1: 1 words exceed the element cap 0$"):
+        pp.alternating_group(1, 0)
+    with pytest.raises(pp.CapExceeded, match=r"^S_1: 1 words exceed the element cap 0$"):
+        pp.symmetric_group(1, 0)
+    # A_n holds n!/2 words, and one for n < 2; a cap of exactly that admits it
+    for n in range(1, 7):
+        order = max(math.factorial(n) // 2, 1)
+        assert pp.alternating_group(n, order).order == order, n
+        with pytest.raises(pp.CapExceeded, match=rf"^A_{n}: {order} words exceed"):
+            pp.alternating_group(n, order - 1)
+
+
 def test_from_words_rejects_non_groups():
     with pytest.raises(ValueError):
         PermGroup.from_words({b"\2\3\1"}, 3)

@@ -201,15 +201,49 @@ def _empty_comp(s, n, **kwargs):
     return pp.PermSet(n, set())
 
 
+def _every_word(n):
+    return set(map(bytes, itertools.permutations(range(1, n + 1))))
+
+
 def _complement_comp(s, n, **kwargs):
     # every degree-n word outside the true level: inclusions turn around
     level = galois_mod.comp_set(s, n, **kwargs).word_set
-    return pp.PermSet(n, set(map(bytes, itertools.permutations(range(1, n + 1)))) - level)
+    return pp.PermSet(n, _every_word(n) - level)
+
+
+def _complement_pat(t, length):
+    # every length-l word outside the true patterns: inclusions turn around
+    return pp.PermSet(length, _every_word(length) - galois_mod.pat_set(t, length).word_set)
+
+
+def _comp_of_nothing_is_everything(s, n, **kwargs):
+    # an empty set read as no constraint at all: comp(pat(comp(S))) is S_n
+    # wherever comp(S) is empty
+    if not s.word_set:
+        return pp.PermSet(n, _every_word(n))
+    return galois_mod.comp_set(s, n, **kwargs)
+
+
+def _pat_of_the_first_six(t, length):
+    # the patterns of at most six words of t, all that a random set holds,
+    # but not all of a larger level
+    return galois_mod.pat_set(pp.PermSet(t.degree, sorted(t.word_set)[:6]), length)
+
+
+def _involves_as_a_factor(tau, pi):
+    # occurrences at consecutive positions only: reversal and complement
+    # keep them, inversion does not
+    k = tau.degree
+    return any(
+        perms_mod.pattern(pi, range(i, i + k)) == tau for i in range(1, pi.degree - k + 2)
+    )
 
 
 _true_quotient = perms_mod.adjacent_pattern_quotient
 _true_enumerate = verify_mod.enumerate_subgroups
 _true_derive = parts.derive
+_true_jumps = perms_mod.jumps
+_true_dihedral = verify_mod.natural_dihedral_group
 
 
 def _with_a_five_word_set(n):
@@ -233,8 +267,12 @@ def _derive_wrong_off_intervals(p):
 
 _TAMPERS = [
     # involvement against word equality and a pattern's own patterns
+    (perms_mod, "involves", lambda tau, pi: False, "law-involvement-partial-order",
+     {"reflexivity": "3264715"}),
     (perms_mod, "involves", lambda tau, pi: True, "law-involvement-partial-order",
      {"antisymmetry": ["1537264", "3264715"]}),
+    (perms_mod, "involves", lambda tau, pi: tau == pi, "law-involvement-partial-order",
+     {"transitivity": ["21", "325461", "3264715"]}),
     (perms_mod, "involves", lambda tau, pi: tau == pi, "law-pattern-interpolation",
      {"sigma": "1", "tau": "1423", "m": 2}),
     # exhaustive permutations
@@ -249,15 +287,26 @@ _TAMPERS = [
     # subgroup catalogs
     (verify_mod, "young_subgroup", lambda p, *args: pp.trivial_group(p.size),
      "law-orbit-minimality", {"group": "gens:3:(2 3)", "orbits": "1|2,3"}),
+    (parts, "refines", lambda p, q: True, "law-orbit-minimality",
+     {"group": "gens:3:", "finer": "1,2,3"}),
     (verify_mod, "enumerate_subgroups", _with_a_five_word_set, "law-lagrange",
      {"group": "gens:3:", "order": 5}),
     # Galois operators
+    (verify_mod, "comp_set", lambda s, n, **kwargs: pp.PermSet(n, _every_word(n)),
+     "law-galois-adjunction", {"kind": "kernel", "l": 4, "n": 5}),
     (verify_mod, "comp_set", _empty_comp, "law-galois-adjunction",
      {"kind": "closure", "l": 4, "n": 5}),
+    (verify_mod, "comp_set", _comp_of_nothing_is_everything, "law-galois-adjunction",
+     {"kind": "comp-idempotent", "l": 4, "n": 5}),
+    (verify_mod, "pat_set", _pat_of_the_first_six, "law-galois-adjunction",
+     {"kind": "pat-idempotent", "l": 4, "n": 5}),
     (verify_mod, "comp_set", _empty_comp, "law-descending-lift",
      {"group": "gens:5:(1 5)(2 4)", "m": 6}),
     (verify_mod, "comp_set", _empty_comp, "law-cyclic-dihedral-lift",
      {"group": "gens:5:(1 2 3 4 5)", "family": "cyclic"}),
+    (verify_mod, "natural_dihedral_group",
+     lambda n: pp.natural_cyclic_group(n) if n == 6 else _true_dihedral(n),
+     "law-cyclic-dihedral-lift", {"group": "gens:5:(1 2 3 4 5)", "family": "dihedral"}),
     (verify_mod, "comp_set", _empty_comp, "law-comp-direct-agreement",
      {"l": 2, "m": 4, "set": ["12", "21"]}),
     # the level step itself, under comp_set: law-galois-transitivity and
@@ -267,6 +316,8 @@ _TAMPERS = [
      {"l": 2, "m": 4, "set": ["12", "21"]}),
     (verify_mod, "comp_set", _complement_comp, "law-galois-monotonicity",
      {"kind": "comp", "l": 3, "n": 6}),
+    (verify_mod, "pat_set", _complement_pat, "law-galois-monotonicity",
+     {"kind": "pat", "l": 5, "n": 6}),
     (verify_mod, "comp_set", _complement_comp, "law-galois-transitivity",
      {"l": 3, "m": 5, "n": 6}),
     # Young subgroups against the block-fixing filter
@@ -281,10 +332,15 @@ _TAMPERS = [
     # block systems against the exhaustive filter of invariant partitions
     (groups_mod.PermGroup, "block_systems", lambda self: [], "law-block-system-soundness",
      {"group": "gens:4:(1 4)(2 3);(1 2)(3 4)", "primitive": True}),
+    (groups_mod.PermGroup, "block_systems",
+     lambda self: [pp.Partition.from_blocks([x] for x in range(1, self.degree + 1))],
+     "law-block-system-soundness", {"group": "gens:4:(1 4)(2 3);(1 2)(3 4)", "system": "1|2|3|4"}),
     # jumps, the dihedral test and the quotient cycle against families and
     # cycles written out from the words alone
     (perms_mod, "jumps", lambda p: (), "law-jump-characterization",
      {"perm": "132", "jumps": 0, "expected_zero": False}),
+    (perms_mod, "jumps", lambda p: _true_jumps(p) * 2, "law-jump-characterization",
+     {"perm": "132", "jumps": 2, "expected_one": True}),
     (verify_mod, "natural_dihedral_group", pp.natural_cyclic_group, "law-dihedral-consecutive",
      {"perm": "132", "n": 3}),
     (perms_mod, "adjacent_pattern_quotient", lambda p, i: pp.inverse(_true_quotient(p, i)),
@@ -299,12 +355,16 @@ _TAMPERS = [
      {"pi": "2413", "positions": [1, 4]}),
     (perms_mod, "complement", lambda p: p, "law-symmetry-involvement",
      {"pi": "2413", "positions": [1, 4]}),
+    (perms_mod, "involves", _involves_as_a_factor, "law-symmetry-involvement",
+     {"tau": "312", "pi": "6532471", "op": "inverse"}),
     # derive(p) itself is checked, not derive(max_intervals(p)), which the
     # memos could stand in for: the first partition of no intervals is 1,3|2
     (parts, "derive", _derive_wrong_off_intervals, "law-derived-meet-form",
      {"partition": "1,3|2"}),
     (parts, "derive", _derive_wrong_off_intervals, "law-derived-shape",
      {"partition": "1,3|2", "derived": "1,3|2|4"}),
+    (parts, "has_consecutive_nontrivial_blocks", lambda p: True, "law-derived-shape",
+     {"partition": "1", "derived": "1,2"}),
 ]
 
 
