@@ -242,7 +242,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_levels(args: argparse.Namespace) -> int:
     _check_depth(args.depth)
     g = parse_group(args.group, args.element_cap)
-    family = predict_level(g, 1).eventual
+    family = predict_level(g, 1, element_cap=args.element_cap).eventual
     rows = []
     for degree, words in iter_levels(g, args.depth, element_cap=args.element_cap):
         level = PermGroup.from_words(words, degree, args.element_cap)

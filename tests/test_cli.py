@@ -181,6 +181,20 @@ def test_classify_honours_the_element_cap(capsys):
     assert json.loads(out)["levels"][0]["exact"]["size"] == 720
 
 
+@pytest.mark.parametrize("command", ["levels", "classify"])
+def test_levels_reads_the_family_under_the_element_cap(capsys, command):
+    # the level-1 prediction that names the eventual family builds a
+    # 720-word Young upper bound, refused under the cap as classify refuses it
+    code, out, err = run_cli(
+        capsys, "--element-cap", "200", command,
+        "--group", "gens:7:(1 2 3 4 5 6)", "--depth", "1",
+    )
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: Young subgroup of 1,2,3,4,5,6|7|8: 720 words exceed the element cap 200\n"
+    )
+
+
 def test_cli_import_loads_no_process_pool():
     # every CLI call pays this import, so it stays free of process pools,
     # of numpy and, with the value types as NamedTuples, of dataclasses and

@@ -154,10 +154,15 @@ def _comp_step_reference(words, k):
 def _word_sets(draw):
     # sparse sets and near-full ones (all words but a few), so that both empty
     # and large levels come out above them; two levels above a near-full
-    # degree-6 set hold tens of thousands of words, too slow for the reference
+    # degree-6 set hold tens of thousands of words, too slow for the reference.
+    # From k = 5 on a sparse set may hold up to twice the live-word count at
+    # which the level step turns from probing word by word to probing by
+    # column, so both probes meet sets whose words die at different columns
     k = draw(st.integers(1, 6))
     all_words = list(map(bytes, itertools.permutations(range(1, k + 1))))
-    picked = draw(st.sets(st.sampled_from(all_words), max_size=12))
+    most = 2 * galois._PER_WORD_BELOW if k >= 5 else 12
+    size = draw(st.integers(0, min(most, len(all_words))))
+    picked = draw(st.sets(st.sampled_from(all_words), min_size=size, max_size=size))
     if k <= 5 and draw(st.booleans()):
         return k, set(all_words) - picked
     return k, picked
@@ -235,11 +240,15 @@ def test_comp_step_level_is_one_frozenset_shared_downstream(monkeypatch):
     assert len(built) == 2 and top.word_set is built[-1]
 
 
-def test_comp_step_checks_the_cap_before_building_a_word(monkeypatch):
+@pytest.mark.parametrize(
+    "words, k, size",
+    [(pp.symmetric_group(6).word_set, 6, 5040), ({b"\1"}, 1, 2)],
+    ids=["column-probe", "word-probe"],
+)
+def test_comp_step_checks_the_cap_before_building_a_word(monkeypatch, words, k, size):
     # the level's size is read off the masks, so the cap is checked on the
-    # full size with no survivor built: building one would fail here
-    s6 = pp.symmetric_group(6).word_set
-
+    # full size with no survivor built: building one would fail here.  The
+    # 720 words of S_6 are probed by column, one word is probed on its own
     def no_building(*args):
         raise AssertionError("a word was built past the cap")
 
@@ -247,10 +256,10 @@ def test_comp_step_checks_the_cap_before_building_a_word(monkeypatch):
         m.setattr(galois, "_lift_tables", no_building)
         with pytest.raises(
             pp.CapExceeded,
-            match=r"^level of degree 7: 5040 words exceed the element cap 5039$",
+            match=rf"^level of degree {k + 1}: {size} words exceed the element cap {size - 1}$",
         ):
-            _comp_step(s6, 6, element_cap=5039)
-    assert len(_comp_step(s6, 6, element_cap=5040)) == 5040
+            _comp_step(words, k, element_cap=size - 1)
+    assert len(_comp_step(words, k, element_cap=size)) == size
 
 
 def test_comp_step_cap_names_the_level_being_built():
